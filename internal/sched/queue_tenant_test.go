@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,56 +12,173 @@ import (
 // determinism contract: with exactly one tenant class in play, weighted
 // DRR degenerates to the base policy, so an engaged fair-share layer
 // must reproduce the legacy dispatch sequence op-for-op — both
-// policies, randomized workloads, whether the traffic is tagged or
-// rides the tenant-0 default.
+// policies, randomized workloads shallow and backlogged past 1,000
+// requests, whether the traffic is tagged or rides the tenant-0 default.
 func TestQueueFairSingleTenantEquivalence(t *testing.T) {
 	const elements = 4
+	shallow := shape{
+		steps:   300,
+		arrive:  shallowArrivals(elements),
+		advance: func(rng *rand.Rand, now, _ sim.Time) sim.Time { return now + sim.Time(1+rng.Intn(20)) },
+	}
 	for _, policy := range []Policy{FCFS, SWTF} {
 		for _, tenant := range []uint8{0, 5} {
 			t.Run(policy.String(), func(t *testing.T) {
-				for trial := 0; trial < 10; trial++ {
-					rng := rand.New(rand.NewSource(int64(trial)*100 + int64(policy) + int64(tenant)))
+				trial := func(name string, seed int64, sh shape) {
+					rng := rand.New(rand.NewSource(seed))
 					fair := NewQueue(policy, elements)
 					fair.SetTenantWeight(tenant, 2.5)
 					plain := NewQueue(policy, elements)
-					elemsOf := map[int][]int{}
-					now := sim.Time(0)
-					id := 0
-					for step := 0; step < 300; step++ {
-						for n := rng.Intn(4); n > 0; n-- {
-							k := 1 + rng.Intn(3)
-							perm := rng.Perm(elements)[:k]
-							elemsOf[id] = perm
-							fair.PushT(perm, id, tenant, int64(4096*(1+id%8)))
-							plain.Push(perm, id)
-							id++
-						}
-						for {
-							got, ok := fair.Pop(now)
-							want, wok := plain.Pop(now)
-							if ok != wok {
-								t.Fatalf("trial %d step %d: fair ok=%v plain ok=%v", trial, step, ok, wok)
-							}
-							if !ok {
-								break
-							}
-							if got.(int) != want.(int) {
-								t.Fatalf("trial %d step %d: fair dispatched %v, plain %v", trial, step, got, want)
-							}
-							for _, e := range elemsOf[got.(int)] {
-								until := now + serviceTime(got.(int), e)
-								fair.SetBusy(e, until)
-								plain.SetBusy(e, until)
-							}
-						}
-						now += sim.Time(1 + rng.Intn(20))
-					}
-					if fair.Len() != plain.Len() {
-						t.Fatalf("trial %d: fair len %d, plain %d", trial, fair.Len(), plain.Len())
-					}
+					runTrial(t, name, rng, sh, elements, fair,
+						queueModel{q: fair, tenant: func(int) uint8 { return tenant }}, queueModel{q: plain})
+				}
+				for n := 0; n < 10; n++ {
+					trial(fmt.Sprintf("trial %d", n), int64(n)*100+int64(policy)+int64(tenant), shallow)
+				}
+				for n := 0; n < 2; n++ {
+					trial(fmt.Sprintf("backlog trial %d", n), int64(n)*100+int64(policy)+int64(tenant)+7, backlogShape(elements))
 				}
 			})
 		}
+	}
+}
+
+// legacyFair is the reference for mixed-tenant sweeps: weighted DRR
+// written directly over per-tenant pending slices scanned with Pick —
+// the tenant ring sorted by ID and grown on first sight, deficits
+// refilled by quantum x weight for tenants whose head is dispatchable
+// and cleared when a tenant empties.
+type legacyFair struct {
+	policy    Policy
+	busyUntil []sim.Time
+	tens      []*legacyTenant
+	rr        int
+	seq       uint64
+	tenant    func(id int) uint8
+}
+
+type legacyTenant struct {
+	id              uint8
+	weight, deficit float64
+	pending         []*Entry
+	ids             map[uint64]int // seq -> pushed id
+}
+
+// newLegacyFair registers weights[i] for tenant i+1, in that order, as
+// the queue's SetTenantWeight calls do.
+func newLegacyFair(policy Policy, elements int, weights []float64, tenant func(int) uint8) *legacyFair {
+	l := &legacyFair{policy: policy, busyUntil: make([]sim.Time, elements), tenant: tenant}
+	for i, w := range weights {
+		l.tenantFor(uint8(i + 1)).weight = w
+	}
+	return l
+}
+
+func (l *legacyFair) tenantFor(id uint8) *legacyTenant {
+	i := 0
+	for i < len(l.tens) && l.tens[i].id < id {
+		i++
+	}
+	if i < len(l.tens) && l.tens[i].id == id {
+		return l.tens[i]
+	}
+	tn := &legacyTenant{id: id, weight: 1, ids: map[uint64]int{}}
+	l.tens = append(l.tens[:i], append([]*legacyTenant{tn}, l.tens[i:]...)...)
+	if i <= l.rr && len(l.tens) > 1 {
+		l.rr++
+	}
+	return tn
+}
+
+func (l *legacyFair) push(elems []int, id int) {
+	tn := l.tenantFor(l.tenant(id))
+	l.seq++
+	tn.pending = append(tn.pending, &Entry{Elems: append([]int(nil), elems...), Seq: l.seq})
+	tn.ids[l.seq] = id
+}
+
+func (l *legacyFair) pop(now sim.Time) (int, bool) {
+	n := len(l.tens)
+	for {
+		deficitBlocked := false
+		for i := 0; i < n; i++ {
+			idx := (l.rr + i) % n
+			tn := l.tens[idx]
+			h := Pick(l.policy, tn.pending, l.busyUntil, now)
+			if h < 0 {
+				continue
+			}
+			e := tn.pending[h]
+			id := tn.ids[e.Seq]
+			if cost := float64(opCost(id)); tn.deficit >= cost {
+				tn.deficit -= cost
+				l.rr = idx
+				tn.pending = append(tn.pending[:h], tn.pending[h+1:]...)
+				if len(tn.pending) == 0 {
+					tn.deficit = 0
+				}
+				return id, true
+			}
+			deficitBlocked = true
+		}
+		if !deficitBlocked {
+			return 0, false
+		}
+		for _, tn := range l.tens {
+			if Pick(l.policy, tn.pending, l.busyUntil, now) >= 0 {
+				tn.deficit += drrQuantum * tn.weight
+			}
+		}
+	}
+}
+
+func (l *legacyFair) setBusy(e int, until sim.Time) {
+	if until > l.busyUntil[e] {
+		l.busyUntil[e] = until
+	}
+}
+
+func (l *legacyFair) len() int {
+	n := 0
+	for _, tn := range l.tens {
+		n += len(tn.pending)
+	}
+	return n
+}
+
+// TestQueueFairMixedTenantEquivalence pins weighted DRR over the indexed
+// sub-queues against legacyFair's Pick scans op-for-op: four tenant
+// classes at unequal weights (one of them first seen mid-run), byte
+// costs that vary per request, both policies, shallow and backlogged
+// past 1,000 requests.
+func TestQueueFairMixedTenantEquivalence(t *testing.T) {
+	const elements = 4
+	weights := []float64{1, 2.5, 4} // tenants 1, 2, 3
+	// Tenant 4 has no weight: both sides meet it on its first push.
+	tenant := func(id int) uint8 { return uint8(1 + (uint32(id)*2654435761>>16)%4) }
+	shallow := shape{
+		steps:   300,
+		arrive:  shallowArrivals(elements),
+		advance: func(rng *rand.Rand, now, _ sim.Time) sim.Time { return now + sim.Time(1+rng.Intn(20)) },
+	}
+	for _, policy := range []Policy{FCFS, SWTF} {
+		t.Run(policy.String(), func(t *testing.T) {
+			trial := func(name string, seed int64, sh shape) {
+				rng := rand.New(rand.NewSource(seed))
+				q := NewQueue(policy, elements)
+				for i, w := range weights {
+					q.SetTenantWeight(uint8(i+1), w)
+				}
+				runTrial(t, name, rng, sh, elements, q,
+					queueModel{q: q, tenant: tenant}, newLegacyFair(policy, elements, weights, tenant))
+			}
+			for n := 0; n < 10; n++ {
+				trial(fmt.Sprintf("trial %d", n), int64(n)*100+int64(policy)+11, shallow)
+			}
+			for n := 0; n < 2; n++ {
+				trial(fmt.Sprintf("backlog trial %d", n), int64(n)*100+int64(policy)+13, backlogShape(elements))
+			}
+		})
 	}
 }
 
