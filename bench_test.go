@@ -490,6 +490,37 @@ func BenchmarkDeviceRandomWrites(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceSteadyMix is the layer benchmark in the load shape of
+// the repository benchmark's steady workload: the base SSD profile
+// preconditioned to 80%, then a depth-8 closed loop of uniform random
+// 4 KiB ops, half reads and half writes, through core.ClosedLoop, so
+// cleaning runs all the time. One op is one iteration; the host
+// completion path must not allocate per op.
+func BenchmarkDeviceSteadyMix(b *testing.B) {
+	d, err := core.Open("ssd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := core.PreconditionFrac(d, 1<<20, 0.8); err != nil {
+		b.Fatal(err)
+	}
+	s, err := workload.Synthetic(workload.SyntheticConfig{
+		Ops:          b.N,
+		AddressSpace: d.LogicalBytes(),
+		ReadFrac:     0.5,
+		ReqSize:      4096,
+		Seed:         1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := d.ClosedLoop(8, func(int) (trace.Op, bool) { return s.Next() }); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkAlignerThroughput measures the merge/align pass itself.
 func BenchmarkAlignerThroughput(b *testing.B) {
 	ops, err := workload.SyntheticOps(workload.SyntheticConfig{

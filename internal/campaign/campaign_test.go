@@ -479,3 +479,28 @@ func TestCampaignETA(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// POST /campaigns caps its body at simsvc.MaxBodyBytes: a valid spec
+// padded past the cap is refused with 413, and unpadded still accepted.
+func TestCampaignBodyCap(t *testing.T) {
+	jobs, m := newService(t, 1, Options{})
+	srv := serveHTTP(t, jobs, m)
+	spec, err := json.Marshal(sweep(2000, "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) int {
+		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(strings.Repeat(" ", simsvc.MaxBodyBytes) + string(spec)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: %d, want 413", code)
+	}
+	if code := post(string(spec)); code != http.StatusAccepted {
+		t.Errorf("spec: %d, want 202", code)
+	}
+}

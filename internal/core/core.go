@@ -416,21 +416,13 @@ func NewSSD(cfg ssd.Config) (*SSD, error) {
 
 // Submit implements Device.
 func (s *SSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	var cb func(*ssd.Request)
-	if onDone != nil {
-		cb = func(r *ssd.Request) { onDone(r.Response(), r.Err) }
-	}
-	return s.Raw.Submit(op, cb)
+	return s.Raw.SubmitHost(op, onDone)
 }
 
 // SubmitBatch implements Device through the flash device's batch fast
 // path: one dispatch pump for the whole same-instant run.
 func (s *SSD) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	var cb func(*ssd.Request)
-	if onDone != nil {
-		cb = func(r *ssd.Request) { onDone(r.Response(), r.Err) }
-	}
-	return s.Raw.SubmitBatch(ops, cb)
+	return s.Raw.SubmitBatch(ops, onDone)
 }
 
 // Free implements Device: the FTL drops the mapped pages.

@@ -232,3 +232,40 @@ func TestProfileNames(t *testing.T) {
 		}
 	}
 }
+
+// TestSSDClosedLoopAllocsPerOp pins the flash adapter's completion path:
+// the SSD carries the host callback on its pooled requests, so a closed
+// loop of random 4 KiB reads and writes, cleaning included, allocates
+// nothing per operation (only the loop's own closures, once per call).
+func TestSSDClosedLoopAllocsPerOp(t *testing.T) {
+	d, err := Open("ssd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PreconditionFrac(d, 1<<20, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	const ops = 20000
+	pages := d.LogicalBytes() * 8 / 10 / 4096
+	rng := sim.NewRNG(1)
+	loop := func() {
+		n := 0
+		err := d.ClosedLoop(8, func(int) (trace.Op, bool) {
+			if n == ops {
+				return trace.Op{}, false
+			}
+			n++
+			op := trace.Op{Kind: trace.Read, Offset: rng.Int63n(pages) * 4096, Size: 4096}
+			if rng.Bool(0.5) {
+				op.Kind = trace.Write
+			}
+			return op, true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if perOp := testing.AllocsPerRun(3, loop) / ops; perOp >= 0.01 {
+		t.Fatalf("closed loop allocates %.3f per op, want 0", perOp)
+	}
+}

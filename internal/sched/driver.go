@@ -5,16 +5,20 @@ import "ossd/internal/sim"
 // Driver is the dispatch engine shared by the media models: one pump loop
 // over an indexed Queue, with hooks for the work a substrate does around
 // dispatch. The SSD hangs garbage collection on the hooks (mandatory
-// cleaning before dispatch, opportunistic cleaning after), the disk hangs
-// its write-cache drain on the post hook, and MEMS uses the bare loop —
-// so all substrates queue and dispatch through this one code path.
+// cleaning before dispatch and, on a priority-aware device only,
+// opportunistic cleaning after), the disk hangs its write-cache drain on
+// the post hook, and MEMS uses the bare loop — so all substrates queue
+// and dispatch through this one code path.
 //
 // Serve is called once per dispatched request with its payload and the
 // current simulated time; it must start service (marking elements busy
 // via Queue.SetBusy) and arrange for Pump to run again on completion.
 // Pre and Post run before and after the dispatch pass of each round and
 // report whether they made progress; the loop repeats until a full round
-// makes none.
+// makes none. A pump runs several rounds per operation, so the hooks
+// must cost little when there is nothing to do: the SSD's visit only
+// the elements whose cleaning inputs changed since they last needed no
+// cleaning, not every element.
 type Driver struct {
 	eng   *sim.Engine
 	q     *Queue

@@ -59,6 +59,21 @@ func expIdentity(name string, seed int64) []byte {
 	return fmt.Appendf(nil, "experiment|%s|%d", name, seed)
 }
 
+// MaxBodyBytes caps the request bodies the API decodes: job and campaign
+// specs, experiment requests and cache identities are small JSON
+// documents, so a larger body is refused (413) instead of buffered.
+const MaxBodyBytes = 1 << 20
+
+// BodyStatus maps an error from decoding a capped request body to its
+// HTTP status: 413 when the body outgrew MaxBodyBytes, 400 otherwise.
+func BodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // Handler returns the service's HTTP API:
 //
 //	POST   /jobs                submit a JobSpec, get {id, status, cached}
@@ -78,10 +93,10 @@ func (m *Manager) Handler() http.Handler {
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad job spec: %w", err))
+			writeError(w, BodyStatus(err), fmt.Errorf("simsvc: bad job spec: %w", err))
 			return
 		}
 		job, err := m.Submit(spec)
@@ -185,8 +200,8 @@ func (m *Manager) Handler() http.Handler {
 		}
 		var req experimentRequest
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad experiment request: %w", err))
+			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
+				writeError(w, BodyStatus(err), fmt.Errorf("simsvc: bad experiment request: %w", err))
 				return
 			}
 		}
@@ -251,7 +266,7 @@ func (m *Manager) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache key: %w", err))
 			return
 		}
-		identity, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		identity, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil || len(identity) == 0 {
 			writeError(w, http.StatusBadRequest, errors.New("simsvc: cache fetch needs identity bytes in the body"))
 			return

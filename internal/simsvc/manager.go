@@ -466,6 +466,14 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 		m.resolveFlight(job.key, nil, err)
 		return
 	}
+	// Count the simulation before waking anyone waiting on it, so a
+	// waiter that reads Stats sees the run it waited for.
+	finished := time.Now()
+	m.aggMu.Lock()
+	m.runDur.Add(float64(finished.Sub(job.started)) / float64(time.Millisecond))
+	m.aggMu.Unlock()
+	m.completed.Add(1)
+	m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.completed++ })
 	m.cache.put(job.key, job.identity, payload)
 	m.resolveFlight(job.key, payload, nil)
 	if owner != "" {
@@ -477,15 +485,9 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 	job.mu.Lock()
 	job.result = payload
 	job.status = StatusDone
-	job.finished = time.Now()
-	run := job.finished.Sub(job.started)
+	job.finished = finished
 	job.cond.Broadcast()
 	job.mu.Unlock()
-	m.aggMu.Lock()
-	m.runDur.Add(float64(run) / float64(time.Millisecond))
-	m.aggMu.Unlock()
-	m.completed.Add(1)
-	m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.completed++ })
 }
 
 // simulate is the deterministic part of run: everything that feeds the

@@ -817,3 +817,45 @@ func TestJobTimestampsAndAggregates(t *testing.T) {
 		t.Fatalf("cache hit moved the aggregates: %+v", s)
 	}
 }
+
+// postStatus POSTs body to path and returns the response status.
+func postStatus(t *testing.T, srv *httptest.Server, path, body string) int {
+	t.Helper()
+	resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// Request bodies are capped at MaxBodyBytes: a valid body padded past the
+// cap with leading whitespace is refused with 413, and the same body
+// unpadded is still accepted. A deeply nested body under the cap is a
+// 400, not a crash.
+func TestRequestBodyCap(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	spec, err := json.Marshal(smallSpec(2000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat(" ", MaxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/jobs", string(spec)},
+		{"/experiments/schemes", `{"seed": 1}`},
+	} {
+		if code := postStatus(t, srv, tc.path, pad+tc.body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with an oversized body: %d, want 413", tc.path, code)
+		}
+		if code := postStatus(t, srv, tc.path, tc.body); code/100 != 2 {
+			t.Errorf("POST %s: %d, want 2xx", tc.path, code)
+		}
+	}
+	nested := `{"params": ` + strings.Repeat("[", MaxBodyBytes/2)
+	if code := postStatus(t, srv, "/jobs", nested); code != http.StatusBadRequest {
+		t.Errorf("POST /jobs with a deeply nested body: %d, want 400", code)
+	}
+}

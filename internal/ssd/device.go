@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ossd/internal/ftl"
 	"ossd/internal/sched"
@@ -30,6 +31,10 @@ type Request struct {
 	// already-acknowledged buffered write and stay out of host metrics.
 	internal bool
 	onDone   func(*Request)
+	// host is a SubmitHost or SubmitBatch caller's completion callback;
+	// onDone is then hostDone, a package-level adapter, so completing
+	// through host builds no closure per request.
+	host func(resp sim.Time, err error)
 	// dev and remaining carry the completion state through the engine's
 	// pooled events: remaining counts the busy elements (plus the host
 	// link) still owed to this request, and dev lets the package-level
@@ -122,12 +127,16 @@ type Device struct {
 	// host path allocates nothing.
 	freeReq *Request
 
-	// elemLo/elemHi bound the elements this device instance cleans. A
-	// standalone device owns [0, Elements); a shard sub-device owns only
-	// its element group, so concurrent shards never clean each other's
-	// backends. The dispatch path needs no such bound: requests are
-	// routed to shards by element group before submission.
-	elemLo, elemHi int
+	// cand is the cleaning candidate set, one bit per element. A bit is
+	// set wherever the element's cleaning inputs (its FTL state and fault
+	// clock) may have changed since the cleaning hooks last found it
+	// needing no cleaning, and the hooks visit only set bits. serve sets
+	// the bits of the elements a request touched, a sharded gang's merge
+	// sets all, and a new device starts with the elements it cleans: all
+	// of them on a standalone device, only its element group on a shard
+	// sub-device. A shard serves only requests routed to its group, so
+	// concurrent shards never clean each other's backends.
+	cand []uint64
 
 	// recording diverts response-time samples into samples[] instead of
 	// the metric histograms. Shard sub-devices record; the gang merges
@@ -194,8 +203,10 @@ func newWithBackends(eng *sim.Engine, cfg Config, elems []ftl.Backend, lo, hi in
 		elems:      elems,
 		touched:    make([]bool, cfg.Elements),
 		durScratch: make([]sim.Time, cfg.Elements),
-		elemLo:     lo,
-		elemHi:     hi,
+		cand:       make([]uint64, (cfg.Elements+63)/64),
+	}
+	for e := lo; e < hi; e++ {
+		d.markCand(e)
 	}
 	d.q = sched.NewQueue(cfg.Scheduler, cfg.Elements)
 	// Map iteration order is irrelevant here: the queue keeps its tenant
@@ -204,7 +215,7 @@ func newWithBackends(eng *sim.Engine, cfg Config, elems []ftl.Backend, lo, hi in
 		d.q.SetTenantWeight(t, w)
 	}
 	d.drv = sched.NewDriver(eng, d.q, d.serve)
-	d.drv.SetHooks(d.mandatoryClean, d.opportunisticClean)
+	d.drv.SetHooks(d.mandatoryClean, d.postHook())
 	perElemPages := d.elems[0].LogicalPages()
 	pageSize := int64(cfg.Geom.PageSize)
 	switch cfg.Layout {
@@ -330,7 +341,7 @@ func (d *Device) takeReq() *Request {
 // dropped eagerly (for the collector); the remaining fields are cleared
 // on take, which keeps stale pointers readable for debugging.
 func (d *Device) putReq(r *Request) {
-	r.onDone = nil
+	r.onDone, r.host = nil, nil
 	r.nextFree = d.freeReq
 	d.freeReq = r
 }
@@ -343,19 +354,30 @@ func (d *Device) putReq(r *Request) {
 // The *Request passed to onDone is pooled: it must not be retained after
 // the callback returns.
 func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
-	return d.submit(op, onDone, true)
+	return d.submit(op, onDone, nil, true)
 }
 
+// SubmitHost is Submit for a caller that needs only the response time and
+// error at completion, as a host interface does. onDone, if non-nil, is
+// carried on the pooled request itself, so a shared callback submits
+// without allocating.
+func (d *Device) SubmitHost(op trace.Op, onDone func(resp sim.Time, err error)) error {
+	return d.submit(op, nil, onDone, true)
+}
+
+// hostDone completes a SubmitHost or SubmitBatch request.
+func hostDone(r *Request) { r.host(r.Response(), r.Err) }
+
 // SubmitBatch enqueues a run of operations all arriving now, pumping the
-// dispatch loop once at the end instead of per operation. Because the
-// batch is same-instant, deferring the pump reaches the identical
-// dispatch fixpoint the per-op pumps would: each pump dispatches the
-// lowest-eligible request and marks elements busy, and no simulated time
-// passes between the enqueues either way. It stops at the first
-// submission error.
-func (d *Device) SubmitBatch(ops []trace.Op, onDone func(*Request)) error {
+// dispatch loop once at the end instead of per operation; onDone is as
+// for SubmitHost. Because the batch is same-instant, deferring the pump
+// reaches the identical dispatch fixpoint the per-op pumps would: each
+// pump dispatches the lowest-eligible request and marks elements busy,
+// and no simulated time passes between the enqueues either way. It stops
+// at the first submission error.
+func (d *Device) SubmitBatch(ops []trace.Op, onDone func(resp sim.Time, err error)) error {
 	for _, op := range ops {
-		if err := d.submit(op, onDone, false); err != nil {
+		if err := d.submit(op, nil, onDone, false); err != nil {
 			d.drv.Pump()
 			return err
 		}
@@ -364,7 +386,8 @@ func (d *Device) SubmitBatch(ops []trace.Op, onDone func(*Request)) error {
 	return nil
 }
 
-func (d *Device) submit(op trace.Op, onDone func(*Request), pump bool) error {
+// submit enqueues op with at most one of the two completion callbacks.
+func (d *Device) submit(op trace.Op, onDone func(*Request), host func(sim.Time, error), pump bool) error {
 	if err := d.admit(op); err != nil {
 		return err
 	}
@@ -373,6 +396,9 @@ func (d *Device) submit(op trace.Op, onDone func(*Request), pump bool) error {
 	req.Op = op
 	req.Arrive = now
 	req.onDone = onDone
+	if host != nil {
+		req.onDone, req.host = hostDone, host
+	}
 	req.dev = d
 	req.gseq = d.nextGseq
 	d.met.Requests++
@@ -477,57 +503,93 @@ func (d *Device) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
 // mandatoryClean is the driver's pre-dispatch hook: below the critical
 // watermark always; below the low watermark too when the device is
 // priority-agnostic ("cleaning starts at the low threshold irrespective
-// of the outstanding requests").
+// of the outstanding requests"). It visits only the candidate elements,
+// in ascending order as a scan of the whole gang would, and drops a
+// candidate once it needs neither mandatory nor opportunistic cleaning.
 func (d *Device) mandatoryClean(now sim.Time) bool {
-	progress := false
-	for e := d.elemLo; e < d.elemHi; e++ {
-		if d.q.Busy(e) > now || d.faultDead(e) {
-			continue
-		}
-		if d.mustClean(e) && d.startClean(e) {
-			progress = true
-		}
-	}
-	return progress
+	return d.cleanCandidates(now, false)
 }
 
-// opportunisticClean is the driver's post-dispatch hook (priority-aware
-// only): clean at the low watermark when no priority request is
-// outstanding.
+// postHook returns the driver's post-dispatch hook: opportunisticClean on
+// a priority-aware device with a low watermark, and nil otherwise, since
+// no other device ever cleans opportunistically.
+func (d *Device) postHook() func(sim.Time) bool {
+	if d.cfg.PriorityAware && d.cfg.GCLow > 0 {
+		return d.opportunisticClean
+	}
+	return nil
+}
+
+// opportunisticClean is the driver's post-dispatch hook on a
+// priority-aware device: clean the candidate elements at the low
+// watermark when no priority request is outstanding.
 func (d *Device) opportunisticClean(now sim.Time) bool {
-	progress := false
-	for e := d.elemLo; e < d.elemHi; e++ {
-		if d.q.Busy(e) > now || d.faultDead(e) {
-			continue
-		}
-		if d.wantClean(e) && d.startClean(e) {
-			progress = true
-		}
-	}
-	return progress
-}
-
-func (d *Device) mustClean(e int) bool {
-	el := d.elems[e]
-	if !el.CanClean() {
+	if d.outstandingPri != 0 {
 		return false
 	}
-	f := el.FreeFraction()
-	if d.cfg.GCCritical > 0 && f < d.cfg.GCCritical {
-		return true
+	return d.cleanCandidates(now, true)
+}
+
+// cleanCandidates starts a cleaning pass on every idle, live candidate
+// element that needs one (wantClean when opportunistic, else mustClean)
+// and reports whether it started any. An element that needs no cleaning
+// of either kind leaves the candidate set: every skipped element would
+// have tested false, so each cleaning decision is the one a scan of the
+// whole gang would make.
+func (d *Device) cleanCandidates(now sim.Time, opportunistic bool) bool {
+	progress := false
+	for w, word := range d.cand {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			e := w<<6 | b
+			if d.q.Busy(e) > now || d.faultDead(e) {
+				continue
+			}
+			clean := d.mustClean(e)
+			if opportunistic {
+				clean = d.wantClean(e)
+			}
+			if clean && d.startClean(e) {
+				progress = true
+			} else if !d.belowLow(e) {
+				d.cand[w] &^= 1 << b
+			}
+		}
 	}
-	if !d.cfg.PriorityAware && d.cfg.GCLow > 0 && f < d.cfg.GCLow {
-		return true
+	return progress
+}
+
+// markCand makes element e a cleaning candidate.
+func (d *Device) markCand(e int) { d.cand[e>>6] |= 1 << (e & 63) }
+
+// mustClean tests the watermark, a counter read on the page-mapped FTL,
+// before the CanClean scan of the block table, which most elements, far
+// from any watermark, never reach.
+func (d *Device) mustClean(e int) bool {
+	el := d.elems[e]
+	f := el.FreeFraction()
+	if d.cfg.GCCritical > 0 && f < d.cfg.GCCritical ||
+		!d.cfg.PriorityAware && d.cfg.GCLow > 0 && f < d.cfg.GCLow {
+		return el.CanClean()
 	}
 	return false
 }
 
 func (d *Device) wantClean(e int) bool {
-	if !d.cfg.PriorityAware || d.cfg.GCLow == 0 {
+	if !d.cfg.PriorityAware || d.cfg.GCLow == 0 || d.outstandingPri != 0 {
 		return false
 	}
 	el := d.elems[e]
-	return el.CanClean() && el.FreeFraction() < d.cfg.GCLow && d.outstandingPri == 0
+	return el.FreeFraction() < d.cfg.GCLow && el.CanClean()
+}
+
+// belowLow reports whether element e could need cleaning of either kind,
+// whatever the outstanding priority count: the critical watermark never
+// exceeds the low one (Config.Validate), so both kinds need the element
+// below the low watermark with something to clean.
+func (d *Device) belowLow(e int) bool {
+	el := d.elems[e]
+	return el.FreeFraction() < d.cfg.GCLow && el.CanClean()
 }
 
 func (d *Device) startClean(e int) bool {
@@ -577,6 +639,15 @@ func (d *Device) serve(data any, now sim.Time) {
 		}
 		req.remaining++
 		d.q.SetBusy(e, now+dur+d.cfg.CtrlOverhead)
+		d.markCand(e)
+	}
+	// A free, or a request that failed (a dead element, a worn-out
+	// block), may change FTL or fault state on elements it charged no
+	// time.
+	if req.Op.Kind == trace.Free || req.Err != nil {
+		for _, e := range d.elemsFor(req.Op) {
+			d.markCand(e)
+		}
 	}
 	// The host link moves the request's data serially (but overlapped
 	// with flash work via DMA): it is one more completion constraint.

@@ -76,7 +76,7 @@ type arrivalNode struct {
 func shardArriveEvent(a any) {
 	n := a.(*arrivalNode)
 	n.dev.nextGseq = n.gseq
-	_ = n.dev.submit(n.op, nil, true)
+	_ = n.dev.submit(n.op, nil, nil, true)
 }
 
 // ShardableConfig reports whether a device built from cfg supports an
@@ -376,9 +376,11 @@ func (d *Device) merge(s trace.Stream, op trace.Op, at sim.Time) error {
 			queued = append(queued, data.(*Request))
 		})
 	}
-	// Busy horizons live in each element's owning shard queue.
+	// Busy horizons live in each element's owning shard queue, and the
+	// shards have changed every element's cleaning inputs.
 	for e := 0; e < d.cfg.Elements; e++ {
 		d.q.SetBusy(e, g.subs[e/g.groupSize].q.Busy(e))
+		d.markCand(e)
 	}
 	// Re-enqueue in global arrival order; Push re-assigns queue sequence
 	// numbers in that order, preserving every SWTF tie-break.
