@@ -10,7 +10,6 @@
 package ossd
 
 import (
-	"fmt"
 	"testing"
 
 	"ossd/internal/core"
@@ -801,119 +800,4 @@ func BenchmarkExtensionLifetime(b *testing.B) {
 		b.ReportMetric(r.HostMB[0], "greedy-hostMB")
 		b.ReportMetric(r.HostMB[1], "leveled-hostMB")
 	}
-}
-
-// ---- sharded-dataplane benchmarks: the parallel gang vs one engine ----
-
-// gangBenchConfig is the 32-element interleaved SWTF gang the bench-shard
-// CI job measures: large enough that four shards each own a real
-// workload, small enough that a full replay fits in a CI minute.
-func gangBenchConfig() ssd.Config {
-	return ssd.Config{
-		Elements:      32,
-		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 64, BlocksPerPackage: 32},
-		Overprovision: 0.10,
-		Layout:        ssd.Interleaved,
-		Scheduler:     sched.SWTF,
-		CtrlOverhead:  10 * sim.Microsecond,
-		GCLow:         0.05, GCCritical: 0.02,
-	}
-}
-
-// BenchmarkGangShards replays the same saturating 200k-op random
-// workload on the 32-element gang at 1, 2, and 4 shards; one benchmark
-// iteration is one full replay, so ns/op is the wall clock of the whole
-// run and the CI gate compares shards=4 directly against shards=1
-// (>= 2x). Every replay also re-checks the determinism contract cheaply:
-// the completed-op count and final simulated clock must not depend on
-// the shard count.
-func BenchmarkGangShards(b *testing.B) {
-	const ops = 150_000
-	var wantDone int64
-	var wantClock sim.Time
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d, err := core.NewSSD(gangBenchConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if shards > 1 {
-					if err := d.Raw.EnableSharding(shards); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := core.PreconditionFrac(d, 1<<20, 0.5); err != nil {
-					b.Fatal(err)
-				}
-				space := int64(float64(d.LogicalBytes()) * 0.5)
-				rng := sim.NewRNG(11)
-				n := 0
-				at := d.Engine().Now()
-				stream := trace.Func(func() (trace.Op, bool) {
-					if n >= ops {
-						return trace.Op{}, false
-					}
-					n++
-					at += 2 * sim.Microsecond
-					op := trace.Op{At: at, Kind: trace.Write, Offset: rng.Int63n(space/4096) * 4096, Size: 4096}
-					if rng.Int63n(4) == 0 {
-						op.Kind = trace.Read
-					}
-					return op, true
-				})
-				b.StartTimer()
-				if err := d.Drive(stream); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				done, clock := d.Metrics().Completed, d.Engine().Now()
-				if done < ops {
-					b.Fatalf("completed %d of %d", done, ops)
-				}
-				if wantDone == 0 {
-					wantDone, wantClock = done, clock
-				} else if done != wantDone || clock != wantClock {
-					b.Fatalf("shards=%d diverged: %d ops at %v, want %d at %v", shards, done, clock, wantDone, wantClock)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardCrossPost measures the steady-state cross-shard posting
-// path in isolation: one pooled (func(any), arg) message into a bounded
-// inbox, delivered onto the shard's private engine at the window
-// barrier. Once the inboxes and heaps are warm this path must not
-// allocate — the CI bench-shard job gates allocs/op at 0.
-func BenchmarkShardCrossPost(b *testing.B) {
-	const shards = 4
-	g := sim.NewShardGroup(shards, 1024)
-	g.Start()
-	defer g.Stop()
-	nop := func(any) {}
-	var at sim.Time
-	// Warm the inbox backing arrays and the event heaps.
-	for i := 0; i < shards*2048; i++ {
-		at += 2 * sim.Microsecond
-		if !g.Post(i%shards, at, nop, nil) {
-			g.RunWindow(at)
-		}
-	}
-	g.RunWindow(sim.MaxTime)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at += 2 * sim.Microsecond
-		k := i % shards
-		if g.InboxFree(k) == 0 {
-			g.RunWindow(at)
-		}
-		if !g.Post(k, at, nop, nil) {
-			b.Fatal("post failed with free inbox")
-		}
-	}
-	b.StopTimer()
-	g.RunWindow(sim.MaxTime)
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"testing"
 
-	"ossd/internal/core"
 	"ossd/internal/experiments"
 	"ossd/internal/runner"
 )
@@ -51,21 +50,18 @@ func reportBytes(t *testing.T, seed int64, workers int) []byte {
 // and 7 and requires the report bytes to hash to the recorded goldens.
 // The full suite takes about a minute per seed, so the test only runs
 // when REPRO_GOLDEN is set (CI sets it; see .github/workflows/ci.yml).
-// It runs the suite across (shards, workers) pairs against the same
-// pinned hashes: neither the parallel dataplane nor the worker pools may
-// ever change a report byte.
+// It runs the suite at 1 and 4 workers against the same pinned hashes:
+// the worker pools may never change a report byte.
 func TestReportByteIdentity(t *testing.T) {
 	if os.Getenv("REPRO_GOLDEN") == "" {
 		t.Skip("set REPRO_GOLDEN=1 to run the full-report byte-identity check (~2 min)")
 	}
-	for _, c := range []struct{ shards, workers int }{{1, 4}, {2, 1}, {4, 4}} {
-		prev := core.SetDefaultShards(c.shards)
+	for _, workers := range []int{1, 4} {
 		for seed, want := range reportGoldens {
-			sum := sha256.Sum256(reportBytes(t, seed, c.workers))
+			sum := sha256.Sum256(reportBytes(t, seed, workers))
 			if got := hex.EncodeToString(sum[:]); got != want {
-				t.Errorf("seed %d shards %d workers %d: report sha256 = %s, want %s (the simulation's observable behavior changed)", seed, c.shards, c.workers, got, want)
+				t.Errorf("seed %d workers %d: report sha256 = %s, want %s (the simulation's observable behavior changed)", seed, workers, got, want)
 			}
 		}
-		core.SetDefaultShards(prev)
 	}
 }

@@ -44,7 +44,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 		outPath   = flag.String("o", "", "write the report to this file (default stdout)")
 		asJSON    = flag.Bool("json", false, "emit machine-readable JSON results instead of text tables")
-		shards    = flag.Int("shards", 0, "run shardable flash devices across this many engines (same report bytes; 0 = single-engine)")
 		faultPath = flag.String("fault", "", "apply a fault plan (JSON file) to every device the experiments build")
 
 		campaignSpec = flag.String("campaign", "", "drive a remote sweep: path to a campaign spec file (template + axes)")
@@ -55,18 +54,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -shards %d\n", *shards)
-		os.Exit(2)
-	}
-	// Experiments build their devices internally, so the shard count
-	// travels as the process default; non-shardable configurations fall
-	// back to the single engine and the report bytes are identical
-	// either way.
-	core.SetDefaultShards(*shards)
-	// A fault plan travels the same way: as the process default, picked up
-	// by every device built without an explicit plan. Unlike -shards this
-	// changes the report bytes — faults are simulation, not execution.
+	// Experiments build their devices internally, so a fault plan travels
+	// as the process default, picked up by every device built without an
+	// explicit plan.
 	if *faultPath != "" {
 		plan, err := fault.Load(*faultPath)
 		if err != nil {

@@ -44,7 +44,6 @@ func main() {
 		scheme   = flag.String("scheme", "", "FTL scheme override: page|block|hybrid")
 		limit    = flag.Int("limit", 0, "replay at most this many ops (0 = no cap)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		shards   = flag.Int("shards", 0, "run shardable flash profiles across this many engines (same results; 0 = single-engine)")
 		faultIn  = flag.String("fault", "", "apply a fault plan (JSON file) to the device")
 	)
 	flag.Parse()
@@ -68,11 +67,6 @@ func main() {
 	var opts []core.Option
 	if *informed {
 		opts = append(opts, core.WithInformed(true))
-	}
-	if *shards > 0 {
-		opts = append(opts, core.WithShards(*shards))
-	} else if *shards < 0 {
-		fail(fmt.Errorf("invalid -shards %d", *shards))
 	}
 	if *faultIn != "" {
 		plan, err := fault.Load(*faultIn)

@@ -142,8 +142,8 @@ func TestCampaignIncrementalRerun(t *testing.T) {
 }
 
 // TestCampaignShardsDedup: a campaign sweeping options.shards dedups to
-// ONE simulation — shards are an execution knob excluded from the cache
-// key, so the shard-differing cells must cache-hit — and every cell
+// ONE simulation — shards are accepted, ignored and excluded from the
+// cache key, so the shard-differing cells must cache-hit — and every cell
 // returns a byte-identical payload.
 func TestCampaignShardsDedup(t *testing.T) {
 	jobs, m := newService(t, 4, Options{})

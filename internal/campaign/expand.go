@@ -8,8 +8,9 @@
 // cell one job submitted through the existing manager. Because jobs are
 // deduplicated by the content-addressed result cache, re-running a
 // campaign after one axis changes only simulates the new cells, and
-// cells that differ only in execution knobs (options.shards) collapse
-// to one simulation.
+// cells that differ only in fields outside the cache identity
+// (options.shards, which is accepted and ignored) collapse to one
+// simulation.
 //
 // Three parts compose the package:
 //

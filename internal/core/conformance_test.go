@@ -26,23 +26,14 @@ func smallSSDConfig() ssd.Config {
 
 // TestDeviceConformance runs the same read/write/free/replay/closed-loop
 // checks against every Device implementation. Any new medium added to
-// the facade must join this table.
+// the facade must join this table. Flash-backed entries end by checking
+// the FTL invariants of every device the entry built.
 func TestDeviceConformance(t *testing.T) {
 	devices := []struct {
 		name string
 		mk   func() (Device, error)
 	}{
 		{"SSD", func() (Device, error) { return NewSSD(smallSSDConfig()) }},
-		{"SSD-sharded", func() (Device, error) {
-			s, err := NewSSD(smallSSDConfig())
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Raw.EnableSharding(2); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}},
 		{"HDD", func() (Device, error) {
 			p, err := ProfileByName("HDD")
 			if err != nil {
@@ -56,9 +47,18 @@ func TestDeviceConformance(t *testing.T) {
 	}
 	for _, tc := range devices {
 		t.Run(tc.name, func(t *testing.T) {
+			var built []Device
+			mk := func() (Device, error) {
+				d, err := tc.mk()
+				if err == nil {
+					built = append(built, d)
+				}
+				return d, err
+			}
+
 			// Submit: a write then a read complete with positive response
 			// times and no error.
-			d, err := tc.mk()
+			d, err := mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestDeviceConformance(t *testing.T) {
 			}
 
 			// Play: a timestamped trace (including a free) drains fully.
-			d2, err := tc.mk()
+			d2, err := mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestDeviceConformance(t *testing.T) {
 
 			// Drive: the same trace as a stream produces the same motion,
 			// pulled one op at a time.
-			d2b, err := tc.mk()
+			d2b, err := mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestDeviceConformance(t *testing.T) {
 
 			// SubmitBatch: a same-instant run moves the same bytes as
 			// per-op submission and fires the shared callback per op.
-			d2d, err := tc.mk()
+			d2d, err := mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestDeviceConformance(t *testing.T) {
 			}
 
 			// Drive surfaces a decoder error from the stream.
-			d2c, err := tc.mk()
+			d2c, err := mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestDeviceConformance(t *testing.T) {
 			}
 
 			// ClosedLoop: exactly n generated ops complete.
-			d3, err := tc.mk()
+			d3, err := mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,31 @@ func TestDeviceConformance(t *testing.T) {
 			if err := d.Submit(trace.Op{Kind: trace.Read, Offset: d.LogicalBytes(), Size: 4096}, nil); err == nil {
 				t.Fatal("accepted read beyond capacity")
 			}
+
+			for i, d := range built {
+				checkFlashInvariants(t, i, d)
+			}
 		})
+	}
+}
+
+// checkFlashInvariants validates every element FTL behind a flash-backed
+// device, the entry's i-th; other media have none to check.
+func checkFlashInvariants(t *testing.T, i int, d Device) {
+	t.Helper()
+	var raw *ssd.Device
+	switch v := d.(type) {
+	case *SSD:
+		raw = v.Raw
+	case *OSD:
+		raw = v.Raw
+	default:
+		return
+	}
+	for e, el := range raw.Elements() {
+		if err := el.CheckInvariants(); err != nil {
+			t.Errorf("device %d element %d: %v", i, e, err)
+		}
 	}
 }
 

@@ -428,20 +428,11 @@ func (s *SSD) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
 // Free implements Device: the FTL drops the mapped pages.
 func (s *SSD) Free(off, size int64) error { return s.Raw.Submit(freeOp(off, size), nil) }
 
-// Drive implements Device. On a device built with shards (WithShards),
-// unbounded open-loop replay runs on the parallel dataplane — multiple
-// cores inside this one simulation, byte-identical to the single-engine
-// replay. Admission-controlled replay (WithMaxPending) paces arrivals to
-// completions, a feedback loop that belongs on one engine.
-func (s *SSD) Drive(st trace.Stream) error {
-	if s.MaxPending == 0 && s.Raw.Sharded() {
-		return s.Raw.DriveStream(st)
-	}
-	return drive(s, st, s.MaxPending)
-}
+// Drive implements Device.
+func (s *SSD) Drive(st trace.Stream) error { return drive(s, st, s.MaxPending) }
 
 // Play implements Device.
-func (s *SSD) Play(ops []trace.Op) error { return s.Drive(trace.FromSlice(ops)) }
+func (s *SSD) Play(ops []trace.Op) error { return drive(s, trace.FromSlice(ops), s.MaxPending) }
 
 // ClosedLoop implements Device.
 func (s *SSD) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {

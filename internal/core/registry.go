@@ -184,22 +184,6 @@ func WithMaxPending(n int) Option {
 	}
 }
 
-// WithShards asks flash devices to run the open-loop dataplane across n
-// engines, one per element group — same reports, less wall clock (see
-// Profile.Shards). It is safe to apply suite-wide: media kinds and
-// configurations the parallel dataplane cannot decompose run
-// single-engine silently. 1 forces single-engine; 0 restores the
-// process default (SetDefaultShards).
-func WithShards(n int) Option {
-	return func(p *Profile) error {
-		if n < 0 {
-			return fmt.Errorf("core: shard count %d must be non-negative", n)
-		}
-		p.Shards = n
-		return nil
-	}
-}
-
 // WithFault attaches a fault plan (see internal/fault) to the profile:
 // deterministic transient errors, element deaths, wear ceilings, and
 // power-loss points. It applies to every media kind — flash devices
@@ -275,10 +259,7 @@ func WithScheduler(policy sched.Policy) Option {
 // WithTenantWeights engages weighted fair-share dispatch on flash-backed
 // profiles: the device queue deficit-round-robins across tenant classes
 // with the given scheduler weights (tenants absent from the map weigh 1).
-// An empty or nil map restores legacy single-tenant dispatch. Weighted
-// devices always run single-engine: cross-tenant arbitration is global,
-// so the sharded dataplane refuses to decompose it (see
-// ssd.ShardableConfig).
+// An empty or nil map restores legacy single-tenant dispatch.
 func WithTenantWeights(weights map[uint8]float64) Option {
 	return func(p *Profile) error {
 		if err := needFlash(p, "tenant weights"); err != nil {

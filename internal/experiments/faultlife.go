@@ -57,7 +57,7 @@ func (r FaultLifeResult) String() string {
 }
 
 // faultLifeDevice builds the sweep's device: small, interleaved, and
-// shard-decomposable, with the configuration's wear ceiling carried on a
+// SWTF-scheduled, with the configuration's wear ceiling carried on a
 // fault plan (low-rate transient faults included, so the plan exercises
 // both injection paths at once).
 func faultLifeDevice(seed int64, ceiling int) (core.Device, error) {
@@ -82,7 +82,7 @@ func faultLifeDevice(seed int64, ceiling int) (core.Device, error) {
 // faultLifeRun preconditions the device, then drives segments splits of
 // a skewed single-page overwrite workload, checkpointing after each.
 // Segment boundaries are Drive-call boundaries — the engine is drained
-// there, so the checkpoints are identical at any shard count.
+// there, so each checkpoint sees every completion of its segment.
 func faultLifeRun(d core.Device, seed int64, segments, opsPerSegment int) ([]FaultLifePoint, error) {
 	if err := core.PreconditionFrac(d, 1<<20, 0.8); err != nil {
 		return nil, err

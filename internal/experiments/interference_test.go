@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"ossd/internal/core"
 )
 
 // TestInterferenceIsolation runs the sweep once and checks the claims
@@ -40,8 +38,8 @@ func TestInterferenceIsolation(t *testing.T) {
 }
 
 // TestInterferenceDeterministic pins the experiment's reproducibility
-// contract: identical results at any worker count and any default
-// shard count — the property the repro goldens sweep relies on.
+// contract: identical results at any worker count — the property the
+// repro goldens sweep relies on.
 func TestInterferenceDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
@@ -56,14 +54,5 @@ func TestInterferenceDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("worker count changed the result:\n%+v\n%+v", serial, parallel)
-	}
-	prev := core.SetDefaultShards(4)
-	defer core.SetDefaultShards(prev)
-	sharded, err := Interference(InterferenceOptions{Seed: 5, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("shard count changed the result:\n%+v\n%+v", serial, sharded)
 	}
 }

@@ -10,7 +10,7 @@
 // every injection. Draws come from a counter-keyed hash over (plan
 // seed, element, op-seq window), never from wall clock, shared RNG
 // state, or iteration order, so a fault run is byte-identical at any
-// worker count and shard count and fault specs stay cache-addressable
+// worker count and fault specs stay cache-addressable
 // in simsvc and dedupable in campaigns.
 package fault
 

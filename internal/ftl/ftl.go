@@ -189,18 +189,26 @@ func NewElement(cfg Config) (*Element, error) {
 		blockTouch: make([]int64, cfg.Geom.BlocksPerPackage),
 		freePages:  phys,
 	}
-	for i := range el.l2p {
-		el.l2p[i] = unmapped
-	}
-	for i := range el.p2l {
-		el.p2l[i] = unmapped
-	}
+	fillUnmapped(el.l2p)
+	fillUnmapped(el.p2l)
 	for b := cfg.Geom.BlocksPerPackage - 1; b >= 1; b-- {
 		el.freeBlocks = append(el.freeBlocks, b)
 	}
 	el.active = 0
 	el.blkState[0] = blockActive
 	return el, nil
+}
+
+// fillUnmapped sets every entry of m to unmapped by doubling copies.
+// Device construction is dominated by these fills, and copy's memmove
+// runs at the same speed wherever the linker places this code, while a
+// scalar store loop here ran up to 1.6x slower after unrelated code
+// moved it. m must be non-empty.
+func fillUnmapped(m []int32) {
+	m[0] = unmapped
+	for n := 1; n < len(m); n *= 2 {
+		copy(m[n:], m[:n])
+	}
 }
 
 // LogicalPages reports the exported logical capacity in pages.

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"sort"
-
-	"ossd/internal/sim"
-)
+import "ossd/internal/sim"
 
 // Queue is the stateful, indexed successor of the stateless Pick scan: a
 // dispatch queue that knows each parallel element's busy horizon and
@@ -388,47 +384,6 @@ func (q *Queue) release(now sim.Time) {
 		for _, tq := range q.tens {
 			tq.swtf.wake(w.elem, q.busyUntil, now)
 		}
-	}
-}
-
-// Drain removes every queued request — dispatchable or not — and visits
-// each in arrival (Seq) order, ignoring busy horizons. The horizons
-// themselves are left untouched. It exists for the sharded device's
-// merge transition: a shard queue's contents are re-enqueued onto the
-// gang-wide queue in global arrival order, so Drain is a rare-path
-// operation and may allocate.
-func (q *Queue) Drain(visit func(seq uint64, elems []int, data any)) {
-	var items []*item
-	collect := func(it *item) {
-		for ; it != nil; it = it.next {
-			items = append(items, it)
-		}
-	}
-	// Every non-empty group is a candidate or parked on one element.
-	reset := func(s *subQueue) {
-		collect(s.fifo.head)
-		for _, c := range s.swtf.ready {
-			collect(c.g.head)
-		}
-		for _, g := range s.swtf.blocked {
-			for ; g != nil; g = g.parkNext {
-				collect(g.head)
-			}
-		}
-		*s = subQueue{}
-	}
-	reset(&q.sub)
-	for _, tq := range q.tens {
-		reset(&tq.subQueue)
-		tq.length = 0
-		tq.deficit = 0
-	}
-	q.wakes = q.wakes[:0]
-	sort.Slice(items, func(i, j int) bool { return items[i].seq < items[j].seq })
-	for _, it := range items {
-		visit(it.seq, it.elems, it.data)
-		q.length--
-		q.put(it)
 	}
 }
 

@@ -241,45 +241,6 @@ func TestQueueFairWorkConserving(t *testing.T) {
 	}
 }
 
-// TestQueueFairDrain: Drain visits fair-mode sub-queues too, in global
-// arrival order, and the queue stays usable.
-func TestQueueFairDrain(t *testing.T) {
-	for _, policy := range []Policy{FCFS, SWTF} {
-		t.Run(policy.String(), func(t *testing.T) {
-			q := NewQueue(policy, 2)
-			q.SetTenantWeight(1, 1)
-			q.SetTenantWeight(2, 2)
-			q.SetBusy(1, 100)
-			for i := 0; i < 8; i++ {
-				q.PushT([]int{i % 2}, i, uint8(1+i%2), 4096)
-			}
-			if policy == SWTF {
-				q.Pop(0) // move some items through the ready/parked indexes
-			}
-			for q.Len() < 8 {
-				q.PushT([]int{1}, 100+q.Len(), 1, 4096)
-			}
-			var seqs []uint64
-			q.Drain(func(seq uint64, elems []int, data any) { seqs = append(seqs, seq) })
-			if q.Len() != 0 {
-				t.Fatalf("queue holds %d items after Drain", q.Len())
-			}
-			if len(seqs) != 8 {
-				t.Fatalf("Drain visited %d items, want 8", len(seqs))
-			}
-			for i := 1; i < len(seqs); i++ {
-				if seqs[i] <= seqs[i-1] {
-					t.Fatalf("Drain out of order: %v", seqs)
-				}
-			}
-			q.PushT([]int{0}, "post", 1, 4096)
-			if data, ok := q.Pop(1000); !ok || data != "post" {
-				t.Fatal("post-drain push/pop broken")
-			}
-		})
-	}
-}
-
 // TestQueuePopAllocFreeFair extends the allocation contract to the
 // weighted pick path: a warm fair-share dispatch cycle across several
 // tenants allocates nothing.

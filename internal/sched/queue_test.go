@@ -438,55 +438,3 @@ func TestQueuePopAllocFree(t *testing.T) {
 		})
 	}
 }
-
-// TestQueueDrain checks that Drain visits every queued request — ready,
-// parked, and head-of-line blocked alike — in arrival order, empties the
-// queue, and leaves busy horizons intact for the successor queue to copy.
-func TestQueueDrain(t *testing.T) {
-	for _, policy := range []Policy{FCFS, SWTF} {
-		t.Run(policy.String(), func(t *testing.T) {
-			q := NewQueue(policy, 4)
-			q.SetBusy(1, 100) // park/block some of the requests below
-			type req struct{ id int }
-			var seqs []uint64
-			for i := 0; i < 6; i++ {
-				seqs = append(seqs, q.Push([]int{i % 4}, &req{id: i}))
-			}
-			if policy == SWTF {
-				// Force parking: pops at time 0 dispatch the idle-element
-				// requests' predecessors... actually just exercise the
-				// index so items land in ready/blocked lists.
-				q.Pop(0)
-			}
-			// Re-fill what the exercise popped.
-			for q.Len() < 6 {
-				seqs = append(seqs, q.Push([]int{1}, &req{id: 100 + q.Len()}))
-			}
-			var got []uint64
-			var ids []int
-			q.Drain(func(seq uint64, elems []int, data any) {
-				got = append(got, seq)
-				ids = append(ids, data.(*req).id)
-			})
-			if q.Len() != 0 {
-				t.Fatalf("queue holds %d items after Drain", q.Len())
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i] <= got[i-1] {
-					t.Fatalf("Drain out of order: seqs %v", got)
-				}
-			}
-			if q.Busy(1) != 100 {
-				t.Fatalf("Drain disturbed busy horizon: %v", q.Busy(1))
-			}
-			if _, ok := q.Pop(1000); ok {
-				t.Fatal("drained queue still dispatches")
-			}
-			// The queue must remain usable after a drain.
-			q.Push([]int{0}, &req{id: 7})
-			if data, ok := q.Pop(1000); !ok || data.(*req).id != 7 {
-				t.Fatal("post-drain push/pop broken")
-			}
-		})
-	}
-}

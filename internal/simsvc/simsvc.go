@@ -69,11 +69,10 @@ type ProfileOptions struct {
 	// arrival storm paces to the device instead of accumulating
 	// unbounded queue state on a worker.
 	MaxPending int `json:"max_pending,omitempty"`
-	// Shards runs shardable flash profiles across this many engines
-	// (core.WithShards): same result bytes, less worker wall clock.
-	// Because sharding never changes a result, it is excluded from the
-	// cache identity — specs differing only in Shards share one cache
-	// entry.
+	// Shards is accepted and ignored, because stored campaign specs and
+	// clients may still send it: every run executes on one engine. A
+	// negative value is still rejected, and it stays out of the cache
+	// identity, so specs differing only in Shards share one cache entry.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -124,9 +123,6 @@ func (o ProfileOptions) build() ([]core.Option, error) {
 	if o.Shards < 0 {
 		return nil, fmt.Errorf("simsvc: negative shard count %d", o.Shards)
 	}
-	if o.Shards > 0 {
-		opts = append(opts, core.WithShards(o.Shards))
-	}
 	return opts, nil
 }
 
@@ -165,9 +161,9 @@ type JobSpec struct {
 	Params workload.GenParams `json:"params"`
 	// Tenant is the submitting tenant class (0 = untenanted): the service
 	// counts this tenant's jobs in /statsz and enforces its in-flight
-	// quota (Options.TenantQuotas) at submit. Like Shards, it is an
-	// execution knob, not a simulation parameter, so it is excluded from
-	// the cache identity — tenants share byte-identical cached results.
+	// quota (Options.TenantQuotas) at submit. It is an admission-control
+	// identity, not a simulation parameter, so it is excluded from the
+	// cache identity — tenants share byte-identical cached results.
 	Tenant uint8 `json:"tenant,omitempty"`
 	// Tenants, when non-empty, makes the simulated workload multi-tenant:
 	// each entry's stream is tagged with its tenant ID, shaped by its
@@ -303,12 +299,10 @@ func (s JobSpec) tenantStream() (trace.Stream, error) {
 // each entry, compared on every hit, and shipped to peers so the owner
 // of a key can verify (or recompute) exactly the spec being asked for.
 func (s JobSpec) Canonical() []byte {
-	// Sharding is an execution knob, not a simulation parameter: the
-	// parallel dataplane is byte-identical to the single engine, so a
-	// spec's identity must not depend on it (a sharded run warms the
-	// cache for single-engine requests and vice versa). The submitting
-	// tenant is likewise an admission-control identity, not a simulation
-	// parameter, so tenants share cached results. s is a copy.
+	// Shards changes nothing (see ProfileOptions.Shards), so a spec's
+	// identity must not depend on it. The submitting tenant is an
+	// admission-control identity, not a simulation parameter, so tenants
+	// share cached results. s is a copy.
 	s.Options.Shards = 0
 	s.Tenant = 0
 	canonical, err := json.Marshal(s)

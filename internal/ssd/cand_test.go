@@ -13,20 +13,19 @@ import (
 
 // candidateWatch checks the candidate-set invariant on one device: at the
 // end of every dispatch round, the last of which ends each Pump, an idle,
-// live element in [lo, hi) whose candidate bit is clear needs neither
-// mandatory nor opportunistic cleaning. A missing mark would silently
-// postpone a cleaning pass that a scan of every element would start.
+// live element whose candidate bit is clear needs neither mandatory nor
+// opportunistic cleaning. A missing mark would silently postpone a
+// cleaning pass that a scan of every element would start.
 type candidateWatch struct {
 	d      *Device
-	lo, hi int
 	rounds int
 	err    error
 }
 
 // watchCandidates installs the check by wrapping d's post-dispatch hook;
 // the wrapper adds no progress of its own, so dispatch is unchanged.
-func watchCandidates(d *Device, lo, hi int) *candidateWatch {
-	w := &candidateWatch{d: d, lo: lo, hi: hi}
+func watchCandidates(d *Device) *candidateWatch {
+	w := &candidateWatch{d: d}
 	post := d.postHook()
 	d.drv.SetHooks(d.mandatoryClean, func(now sim.Time) bool {
 		progress := post != nil && post(now)
@@ -42,7 +41,7 @@ func (w *candidateWatch) check(now sim.Time) {
 		return
 	}
 	d := w.d
-	for e := w.lo; e < w.hi; e++ {
+	for e := range d.elems {
 		if d.cand[e>>6]&(1<<(e&63)) != 0 || d.q.Busy(e) > now || d.faultDead(e) {
 			continue
 		}
@@ -163,7 +162,7 @@ func TestCandidateSetInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := watchCandidates(d, 0, tc.cfg.Elements)
+			w := watchCandidates(d)
 			fill(t, d, tc.fill)
 			ops := candidateMix(3, 6000, d.LogicalBytes(), tc.free, tc.write, tc.pri)
 			// Wear-out and element death fail requests; those errors are
@@ -183,64 +182,5 @@ func TestCandidateSetInvariant(t *testing.T) {
 				t.Fatalf("no background cleaning in %d rounds", w.rounds)
 			}
 		})
-	}
-}
-
-// TestCandidateSetInvariantSharded checks every shard over its own
-// element group, and the gang device over all elements, through the
-// precondition on the gang's engine, the parallel windows and the merge
-// transition onto the single-engine path.
-func TestCandidateSetInvariantSharded(t *testing.T) {
-	const shards = 4
-	// A low watermark above the free space left by the precondition keeps
-	// every element with garbage in need of cleaning.
-	cfg := gangConfig()
-	cfg.GCLow = 0.5
-	d, err := New(sim.NewEngine(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.EnableSharding(shards); err != nil {
-		t.Fatal(err)
-	}
-	gs := cfg.Elements / shards
-	watches := []*candidateWatch{watchCandidates(d, 0, cfg.Elements)}
-	for k, sd := range d.shard.subs {
-		watches = append(watches, watchCandidates(sd, k*gs, (k+1)*gs))
-	}
-	fill(t, d, 0.8)
-	logical := d.LogicalBytes()
-	ops := gangWorkload(5, 2000, logical, false)
-	// Then, a second later, element e gets e+1 overwrites of its own
-	// pages (page l lives on element l mod Elements), so the elements
-	// finish at different times, and a gang-wide write forces the merge
-	// while they are in flight. An element that finishes early then
-	// waits, idle with garbage below the watermark, for the gang-wide
-	// write to gather the rest: only the merge has marked it.
-	at := ops[len(ops)-1].At + sim.Second
-	for e := 0; e < cfg.Elements; e++ {
-		for k := 0; k <= e; k++ {
-			page := int64(k*cfg.Elements + e)
-			ops = append(ops, trace.Op{At: at, Kind: trace.Write, Offset: page * 4096, Size: 4096})
-		}
-	}
-	ops = append(ops, trace.Op{At: at + sim.Microsecond, Kind: trace.Write, Size: int64(cfg.Elements) * 4096})
-	for _, op := range gangWorkload(6, 1000, logical, false) {
-		op.At += at + sim.Second
-		ops = append(ops, op)
-	}
-	if err := d.DriveStream(trace.FromSlice(ops)); err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range watches {
-		if w.err != nil {
-			t.Errorf("watch %d: %v", i, w.err)
-		}
-		if w.rounds == 0 {
-			t.Errorf("watch %d: never pumped", i)
-		}
-	}
-	if d.Metrics().BackgroundCleans == 0 {
-		t.Fatal("no background cleaning")
 	}
 }

@@ -41,10 +41,6 @@ type Request struct {
 	// event callbacks reach the device without a closure per event.
 	dev       *Device
 	remaining int
-	// gseq is the request's index in the global arrival stream, stamped
-	// by the sharded router so that a merge transition can re-interleave
-	// shard queues in arrival order. Zero on unsharded devices.
-	gseq uint64
 	// nextFree links the device freelist.
 	nextFree *Request
 }
@@ -131,43 +127,14 @@ type Device struct {
 	// set wherever the element's cleaning inputs (its FTL state and fault
 	// clock) may have changed since the cleaning hooks last found it
 	// needing no cleaning, and the hooks visit only set bits. serve sets
-	// the bits of the elements a request touched, a sharded gang's merge
-	// sets all, and a new device starts with the elements it cleans: all
-	// of them on a standalone device, only its element group on a shard
-	// sub-device. A shard serves only requests routed to its group, so
-	// concurrent shards never clean each other's backends.
+	// the bits of the elements a request touched, and a new device starts
+	// with every element set.
 	cand []uint64
 
-	// recording diverts response-time samples into samples[] instead of
-	// the metric histograms. Shard sub-devices record; the gang merges
-	// the logs in global completion order at window barriers so the
-	// histograms see samples in the same order a single engine would.
-	recording bool
-	samples   []completionSample
-	// nextGseq stamps Request.gseq at submission; the sharded router
-	// sets it per arrival.
-	nextGseq uint64
-
-	// shard, when non-nil, is the parallel dataplane: per-element-group
-	// sub-devices on private engines, driven by DriveStream. See gang.go.
-	shard *gang
-
 	// flt, when non-nil, injects the config's fault plan at dispatch.
-	// Shard sub-devices alias the gang's state; see faultState.
 	flt *faultState
 
 	met Metrics
-}
-
-// completionSample is one recorded host completion: enough to replay the
-// histogram updates of complete() in globally merged order.
-type completionSample struct {
-	done, start sim.Time
-	ms          float64
-	size        int64
-	kind        trace.Kind
-	pri         bool
-	tenant      uint8
 }
 
 // New builds a device on the given engine.
@@ -175,38 +142,23 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var elems []ftl.Backend
+	d := &Device{
+		cfg:        cfg,
+		eng:        eng,
+		touched:    make([]bool, cfg.Elements),
+		durScratch: make([]sim.Time, cfg.Elements),
+		cand:       make([]uint64, (cfg.Elements+63)/64),
+	}
 	for i := 0; i < cfg.Elements; i++ {
 		el, err := ftl.NewBackend(cfg.Scheme, cfg.ftlConfig(i))
 		if err != nil {
 			return nil, err
 		}
-		elems = append(elems, el)
-	}
-	d, err := newWithBackends(eng, cfg, elems, 0, cfg.Elements)
-	if err != nil {
-		return nil, err
+		d.elems = append(d.elems, el)
+		d.markCand(i)
 	}
 	if cfg.Fault.Injects() {
 		d.flt = newFaultState(cfg.Fault, cfg.Elements)
-	}
-	return d, nil
-}
-
-// newWithBackends builds a device over existing FTL backends, cleaning
-// only elements in [lo, hi). It is how shard sub-devices alias the gang's
-// backends while owning a private engine, queue, and metrics.
-func newWithBackends(eng *sim.Engine, cfg Config, elems []ftl.Backend, lo, hi int) (*Device, error) {
-	d := &Device{
-		cfg:        cfg,
-		eng:        eng,
-		elems:      elems,
-		touched:    make([]bool, cfg.Elements),
-		durScratch: make([]sim.Time, cfg.Elements),
-		cand:       make([]uint64, (cfg.Elements+63)/64),
-	}
-	for e := lo; e < hi; e++ {
-		d.markCand(e)
 	}
 	d.q = sched.NewQueue(cfg.Scheduler, cfg.Elements)
 	// Map iteration order is irrelevant here: the queue keeps its tenant
@@ -244,8 +196,7 @@ func (d *Device) Config() Config { return d.cfg }
 
 // Metrics returns a snapshot of the accumulated metrics. The fault and
 // retirement counters are computed fresh from the fault state and the
-// per-element FTL stats, which a sharded gang shares with its
-// sub-devices, so they need no folding at window barriers.
+// per-element FTL stats.
 func (d *Device) Metrics() Metrics {
 	m := d.met
 	if d.flt != nil {
@@ -312,20 +263,6 @@ func (d *Device) WriteAmplification() float64 {
 	return float64(g.HostPageWrites+g.PagesMoved) / hostPages
 }
 
-// admit validates an operation against the device without mutating any
-// state. It is the complete set of Submit's error paths, which lets the
-// sharded router pre-validate a batch and inject it knowing no mid-batch
-// submission can fail.
-func (d *Device) admit(op trace.Op) error {
-	if err := op.Validate(); err != nil {
-		return err
-	}
-	if op.End() > d.logicalBytes {
-		return fmt.Errorf("ssd: request [%d, +%d) beyond capacity %d", op.Offset, op.Size, d.logicalBytes)
-	}
-	return nil
-}
-
 // takeReq pops a pooled request (or allocates the pool's next one) and
 // resets it.
 func (d *Device) takeReq() *Request {
@@ -388,8 +325,11 @@ func (d *Device) SubmitBatch(ops []trace.Op, onDone func(resp sim.Time, err erro
 
 // submit enqueues op with at most one of the two completion callbacks.
 func (d *Device) submit(op trace.Op, onDone func(*Request), host func(sim.Time, error), pump bool) error {
-	if err := d.admit(op); err != nil {
+	if err := op.Validate(); err != nil {
 		return err
+	}
+	if op.End() > d.logicalBytes {
+		return fmt.Errorf("ssd: request [%d, +%d) beyond capacity %d", op.Offset, op.Size, d.logicalBytes)
 	}
 	now := d.eng.Now()
 	req := d.takeReq()
@@ -400,7 +340,6 @@ func (d *Device) submit(op trace.Op, onDone func(*Request), host func(sim.Time, 
 		req.onDone, req.host = hostDone, host
 	}
 	req.dev = d
-	req.gseq = d.nextGseq
 	d.met.Requests++
 	// Write-back buffer: absorb the write at RAM speed and let an
 	// internal request do the media work. A full buffer bypasses.
@@ -715,23 +654,8 @@ func (d *Device) complete(req *Request) {
 	d.putReq(req)
 }
 
-// recordResp folds a host completion into the response-time histograms —
-// or, on a recording shard sub-device, into the sample log the gang
-// replays in global completion order (Welford accumulation is
-// order-sensitive, so shards must not fold their own).
+// recordResp folds a host completion into the response-time histograms.
 func (d *Device) recordResp(req *Request, ms float64) {
-	if d.recording {
-		d.samples = append(d.samples, completionSample{
-			done:   req.Done,
-			start:  req.Start,
-			ms:     ms,
-			size:   req.Op.Size,
-			kind:   req.Op.Kind,
-			pri:    req.Op.Priority,
-			tenant: req.Op.Tenant,
-		})
-		return
-	}
 	switch req.Op.Kind {
 	case trace.Read:
 		d.met.ReadResp.Add(ms)

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -34,6 +35,21 @@ func stripeConfig() Config {
 	c.Layout = FullStripe
 	c.StripeBytes = 4 * 4096
 	return c
+}
+
+// gangConfig builds an 8-element interleaved SWTF device with watermarks
+// low enough that randomized workloads trigger cleaning.
+func gangConfig() Config {
+	return Config{
+		Elements:      8,
+		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 8, BlocksPerPackage: 32},
+		Overprovision: 0.15,
+		Layout:        Interleaved,
+		Scheduler:     sched.SWTF,
+		CtrlOverhead:  20 * sim.Microsecond,
+		GCLow:         0.12,
+		GCCritical:    0.03,
+	}
 }
 
 func newDevice(t *testing.T, cfg Config) (*sim.Engine, *Device) {
@@ -376,5 +392,129 @@ func TestWearOutSurfacesAsRequestError(t *testing.T) {
 	eng.Run()
 	if d.Metrics().Errors == 0 {
 		t.Skip("workload did not exhaust 2-cycle budget; acceptable for tiny device")
+	}
+}
+
+// sameFloat requires bit-level equality: equivalent runs feed the
+// histograms in the same order, so even the order-sensitive Welford
+// accumulators must match exactly.
+func sameFloat(t *testing.T, what string, a, b float64) {
+	t.Helper()
+	if math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("%s: %v vs %v", what, a, b)
+	}
+}
+
+// compareDevices requires two devices to agree on every metric a report
+// can observe.
+func compareDevices(t *testing.T, x, y *Device) {
+	t.Helper()
+	a, b := x.Metrics(), y.Metrics()
+	if a.Requests != b.Requests || a.Completed != b.Completed {
+		t.Errorf("requests/completed: %d/%d vs %d/%d", a.Requests, a.Completed, b.Requests, b.Completed)
+	}
+	if a.BytesRead != b.BytesRead || a.BytesWritten != b.BytesWritten {
+		t.Errorf("bytes: %d/%d vs %d/%d", a.BytesRead, a.BytesWritten, b.BytesRead, b.BytesWritten)
+	}
+	if a.Frees != b.Frees || a.Errors != b.Errors || a.BackgroundCleans != b.BackgroundCleans {
+		t.Errorf("frees/errors/cleans: %d/%d/%d vs %d/%d/%d",
+			a.Frees, a.Errors, a.BackgroundCleans, b.Frees, b.Errors, b.BackgroundCleans)
+	}
+	for _, h := range []struct {
+		name string
+		a, b interface {
+			N() uint64
+			Mean() float64
+			Min() float64
+			Max() float64
+			Std() float64
+			Percentile(float64) float64
+		}
+	}{
+		{"read", a.ReadResp, b.ReadResp},
+		{"write", a.WriteResp, b.WriteResp},
+		{"bg", a.BgResp, b.BgResp},
+	} {
+		if h.a.N() != h.b.N() {
+			t.Errorf("%s N: %d vs %d", h.name, h.a.N(), h.b.N())
+			continue
+		}
+		sameFloat(t, h.name+" mean", h.a.Mean(), h.b.Mean())
+		sameFloat(t, h.name+" std", h.a.Std(), h.b.Std())
+		sameFloat(t, h.name+" min", h.a.Min(), h.b.Min())
+		sameFloat(t, h.name+" max", h.a.Max(), h.b.Max())
+		sameFloat(t, h.name+" p99", h.a.Percentile(99), h.b.Percentile(99))
+	}
+	if ga, gb := x.GCStats(), y.GCStats(); ga != gb {
+		t.Errorf("gc stats diverge:\n%+v\n%+v", ga, gb)
+	}
+	if na, nb := x.Engine().Now(), y.Engine().Now(); na != nb {
+		t.Errorf("final clock: %v vs %v", na, nb)
+	}
+}
+
+// TestSubmitBatchEquivalence checks the batch fast path reaches the same
+// state as per-op submission: same-instant enqueues followed by one pump
+// dispatch identically to interleaved pumps.
+func TestSubmitBatchEquivalence(t *testing.T) {
+	mkOps := func() []trace.Op {
+		rng := sim.NewRNG(9)
+		ops := make([]trace.Op, 64)
+		for i := range ops {
+			kind := trace.Write
+			if rng.Int63n(3) == 0 {
+				kind = trace.Read
+			}
+			ops[i] = trace.Op{Kind: kind, Offset: rng.Int63n(200) * 4096, Size: 4096}
+		}
+		return ops
+	}
+	one, err := New(sim.NewEngine(), gangConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range mkOps() {
+		if err := one.Submit(op, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one.eng.Run()
+
+	batch, err := New(sim.NewEngine(), gangConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.SubmitBatch(mkOps(), nil); err != nil {
+		t.Fatal(err)
+	}
+	batch.eng.Run()
+	compareDevices(t, one, batch)
+}
+
+// TestRequestFreelistSteadyState pins the allocation contract: once
+// warm, the submit/complete cycle reuses pooled requests.
+func TestRequestFreelistSteadyState(t *testing.T) {
+	d, err := New(sim.NewEngine(), gangConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off int64
+	// Warm the pool and the FTL mappings.
+	for i := 0; i < 64; i++ {
+		if err := d.Submit(trace.Op{Kind: trace.Write, Offset: off, Size: 4096}, nil); err != nil {
+			t.Fatal(err)
+		}
+		off += 4096
+		d.eng.Run()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := d.Submit(trace.Op{Kind: trace.Write, Offset: off % (1 << 20), Size: 4096}, nil); err != nil {
+			t.Fatal(err)
+		}
+		off += 4096
+		d.eng.Run()
+	})
+	if allocs > 0 {
+		t.Fatalf("submit/complete cycle allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -8,11 +8,8 @@ import (
 
 // faultState is the device's per-element fault clock: seq[e] counts the
 // read/write dispatches that touched element e, and the plan's keyed
-// hash over (seed, element, seq) decides every injection. The arrays are
-// shared between a sharded gang and its sub-devices — each element is
-// touched only by its owning shard, and a shard's dispatch order for its
-// own elements is exactly the single-engine order, so the sequence
-// numbers (and therefore the injections) are shard-invariant.
+// hash over (seed, element, seq) decides every injection, so the
+// injections depend only on each element's dispatch order.
 type faultState struct {
 	plan     *fault.Plan
 	seq      []int64
