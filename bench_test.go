@@ -178,7 +178,7 @@ func churn(b *testing.B, d *core.SSD, seed int64) (spread int, moved int64) {
 	rng := sim.NewRNG(seed)
 	n := int(space / 4096 * 10)
 	i := 0
-	err := d.Raw.ClosedLoop(4, func(int) (trace.Op, bool) {
+	err := d.ClosedLoop(4, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -244,7 +244,7 @@ func BenchmarkAblationInformedFreeRatio(b *testing.B) {
 		rng := sim.NewRNG(11)
 		n := int(space / 4096 * 3)
 		i := 0
-		err := d.Raw.ClosedLoop(2, func(int) (trace.Op, bool) {
+		err := d.ClosedLoop(2, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}
@@ -477,7 +477,7 @@ func BenchmarkDeviceRandomWrites(b *testing.B) {
 	rng := sim.NewRNG(5)
 	b.ResetTimer()
 	i := 0
-	err := d.Raw.ClosedLoop(4, func(int) (trace.Op, bool) {
+	err := d.ClosedLoop(4, func(int) (trace.Op, bool) {
 		if i >= b.N {
 			return trace.Op{}, false
 		}

@@ -127,7 +127,7 @@ func alignment(p core.Profile, seed int64) error {
 		slots := d.LogicalBytes()/period - 1
 		rng := sim.NewRNG(seed)
 		i := 0
-		if err := sd.Raw.ClosedLoop(1, func(int) (trace.Op, bool) {
+		if err := sd.ClosedLoop(1, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ossd/internal/fault"
 	"ossd/internal/flash"
 	"ossd/internal/sched"
 	"ossd/internal/sim"
@@ -24,26 +25,38 @@ func smallSSDConfig() ssd.Config {
 	}
 }
 
-// TestDeviceConformance runs the same read/write/free/replay/closed-loop
-// checks against every Device implementation. Any new medium added to
-// the facade must join this table. Flash-backed entries end by checking
-// the FTL invariants of every device the entry built.
+// TestDeviceConformance runs the same submit/free/replay/closed-loop
+// checks against every Device implementation: the five media and the
+// generic fault injector. Any new medium added to the facade must join
+// this table. Frees are plain Submit calls with a trace.Free op, and
+// Drive is the one open-loop replay. Faulted entries run the same phases
+// under a transient-only fault plan (retries add latency, never errors)
+// and must inject at least one fault. Flash-backed entries end by
+// checking the FTL invariants of every device the entry built.
 func TestDeviceConformance(t *testing.T) {
+	// Transient faults only: every op still completes without error, so
+	// the faulted entries pass the fault-free phases unchanged.
+	plan := &fault.Plan{Seed: 1, Transient: &fault.Transient{Rate: 0.5}}
+	faultedSSD := smallSSDConfig()
+	faultedSSD.Fault = plan
 	devices := []struct {
-		name string
-		mk   func() (Device, error)
+		name    string
+		mk      func() (Device, error)
+		faulted bool
 	}{
-		{"SSD", func() (Device, error) { return NewSSD(smallSSDConfig()) }},
+		{"SSD", func() (Device, error) { return NewSSD(smallSSDConfig()) }, false},
 		{"HDD", func() (Device, error) {
 			p, err := ProfileByName("HDD")
 			if err != nil {
 				return nil, err
 			}
 			return p.NewDevice()
-		}},
-		{"MEMS", func() (Device, error) { return NewMEMS(DefaultMEMS()) }},
-		{"RAID", func() (Device, error) { return NewRAID(DefaultRAID()) }},
-		{"OSD", func() (Device, error) { return NewOSD(smallSSDConfig()) }},
+		}, false},
+		{"MEMS", func() (Device, error) { return NewMEMS(DefaultMEMS()) }, false},
+		{"RAID", func() (Device, error) { return NewRAID(DefaultRAID()) }, false},
+		{"OSD", func() (Device, error) { return NewOSD(smallSSDConfig()) }, false},
+		{"HDD-faulted", func() (Device, error) { return Open("hdd", WithFault(plan)) }, true},
+		{"SSD-faulted", func() (Device, error) { return NewSSD(faultedSSD) }, true},
 	}
 	for _, tc := range devices {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,7 +116,7 @@ func TestDeviceConformance(t *testing.T) {
 			// and counts it — Snapshot.Frees is uniform across media,
 			// whether or not the substrate acts on the free.
 			before := d.Metrics().Completed
-			if err := d.Free(0, 4096); err != nil {
+			if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, nil); err != nil {
 				t.Fatal(err)
 			}
 			d.Engine().Run()
@@ -114,7 +127,9 @@ func TestDeviceConformance(t *testing.T) {
 				t.Fatalf("frees = %d, want 1 (uniform counting)", got)
 			}
 
-			// Play: a timestamped trace (including a free) drains fully.
+			// Drive: a timestamped trace (including a free) drains fully,
+			// pulled one op at a time, and the clock reaches the last
+			// arrival.
 			d2, err := mk()
 			if err != nil {
 				t.Fatal(err)
@@ -125,57 +140,17 @@ func TestDeviceConformance(t *testing.T) {
 				{At: 2 * sim.Millisecond, Kind: trace.Read, Offset: 0, Size: 4096},
 				{At: 3 * sim.Millisecond, Kind: trace.Free, Offset: 4096, Size: 4096},
 			}
-			if err := d2.Play(ops); err != nil {
+			if err := d2.Drive(trace.FromSlice(ops)); err != nil {
 				t.Fatal(err)
 			}
-			if m := d2.Metrics(); m.BytesWritten != 8192 || m.BytesRead != 4096 {
-				t.Fatalf("play moved read %d written %d", m.BytesRead, m.BytesWritten)
-			}
-			if d2.Engine().Pending() != 0 {
-				t.Fatalf("play left %d events pending", d2.Engine().Pending())
-			}
-
-			// Drive: the same trace as a stream produces the same motion,
-			// pulled one op at a time.
-			d2b, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d2b.Drive(trace.FromSlice(ops)); err != nil {
-				t.Fatal(err)
-			}
-			if m := d2b.Metrics(); m.BytesWritten != 8192 || m.BytesRead != 4096 || m.Frees != 1 {
+			if m := d2.Metrics(); m.BytesWritten != 8192 || m.BytesRead != 4096 || m.Frees != 1 {
 				t.Fatalf("drive moved read %d written %d frees %d", m.BytesRead, m.BytesWritten, m.Frees)
 			}
-			if d2b.Engine().Pending() != 0 {
-				t.Fatalf("drive left %d events pending", d2b.Engine().Pending())
+			if d2.Engine().Pending() != 0 {
+				t.Fatalf("drive left %d events pending", d2.Engine().Pending())
 			}
-
-			// SubmitBatch: a same-instant run moves the same bytes as
-			// per-op submission and fires the shared callback per op.
-			d2d, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fired := 0
-			batch := []trace.Op{
-				{Kind: trace.Write, Offset: 0, Size: 4096},
-				{Kind: trace.Write, Offset: 4096, Size: 4096},
-				{Kind: trace.Read, Offset: 0, Size: 4096},
-			}
-			if err := d2d.SubmitBatch(batch, func(r sim.Time, err error) {
-				if err == nil && r > 0 {
-					fired++
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-			d2d.Engine().Run()
-			if fired != len(batch) {
-				t.Fatalf("batch callbacks fired %d, want %d", fired, len(batch))
-			}
-			if m := d2d.Metrics(); m.BytesWritten != 8192 || m.BytesRead != 4096 {
-				t.Fatalf("batch moved read %d written %d", m.BytesRead, m.BytesWritten)
+			if last := ops[len(ops)-1].At; d2.Engine().Now() < last {
+				t.Fatalf("drive returned at %v, before the last arrival at %v", d2.Engine().Now(), last)
 			}
 
 			// Drive surfaces a decoder error from the stream.
@@ -213,8 +188,13 @@ func TestDeviceConformance(t *testing.T) {
 				t.Fatal("accepted read beyond capacity")
 			}
 
+			var injected int64
 			for i, d := range built {
 				checkFlashInvariants(t, i, d)
+				injected += d.Metrics().FaultsInjected
+			}
+			if tc.faulted && injected == 0 {
+				t.Fatal("faulted entry injected no faults")
 			}
 		})
 	}
@@ -262,7 +242,7 @@ func TestOSDDeviceObjectPath(t *testing.T) {
 	if info.Size != d.LogicalBytes() {
 		t.Fatalf("volume spans %d, want %d", info.Size, d.LogicalBytes())
 	}
-	if err := d.Free(0, 16<<10); err != nil {
+	if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 16 << 10}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.Engine().Run()

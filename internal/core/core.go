@@ -26,18 +26,11 @@ import (
 // individually shared across goroutines).
 type Device interface {
 	// Submit enqueues an operation at the current simulated time; onDone
-	// (optional) receives the response time when it completes.
+	// (optional) receives the response time when it completes. A
+	// trace.Free op tells the device a byte range no longer holds live
+	// data (the TRIM/OSD-delete signal of §3.5); devices without block
+	// management complete it as a metadata-only no-op.
 	Submit(op trace.Op, onDone func(resp sim.Time, err error)) error
-	// SubmitBatch enqueues a run of operations, all arriving at the
-	// current simulated time, equivalent to submitting them in order.
-	// Media with a batch fast path (the SSD) amortize their dispatch
-	// pump over the run; the rest fall back to per-op submission. It
-	// stops at the first submission error.
-	SubmitBatch(ops []trace.Op, onDone func(resp sim.Time, err error)) error
-	// Free tells the device a byte range no longer holds live data (the
-	// TRIM/OSD-delete signal of §3.5). Devices without block management
-	// complete it as a metadata-only no-op.
-	Free(off, size int64) error
 	// Drive replays a workload stream to completion, open loop: each
 	// operation arrives at its trace timestamp. Timestamps must be
 	// nondecreasing (every generator and the §3.4 aligner satisfy this);
@@ -50,12 +43,8 @@ type Device interface {
 	// Devices built with WithMaxPending additionally apply admission
 	// control: once that many requests are outstanding, further arrivals
 	// are paced to completions instead of piling up unbounded queue
-	// state.
+	// state. A slice replays as Drive(trace.FromSlice(ops)).
 	Drive(s trace.Stream) error
-	// Play replays a timestamped trace to completion. Equivalent to
-	// Drive(trace.FromSlice(ops)), including the nondecreasing-timestamp
-	// contract; kept as the slice-era adapter.
-	Play(ops []trace.Op) error
 	// ClosedLoop keeps depth ops outstanding, drawing from gen until it
 	// returns false, then runs to completion.
 	ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error
@@ -194,28 +183,12 @@ func latencyMs(v float64) float64 {
 	return v
 }
 
-// freeOp builds the trace record for a Free notification.
-func freeOp(off, size int64) trace.Op {
-	return trace.Op{Kind: trace.Free, Offset: off, Size: size}
-}
-
-// submitEach is the SubmitBatch fallback for media without a batch fast
-// path: a plain loop over Submit, stopping at the first error.
-func submitEach(d Device, ops []trace.Op, onDone func(sim.Time, error)) error {
-	for _, op := range ops {
-		if err := d.Submit(op, onDone); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // driveConfig carries the Drive-time knobs every wrapper embeds; the
 // shared setter is how Profile.NewDevice applies WithMaxPending to any
 // wrapper without per-type plumbing.
 type driveConfig struct {
-	// MaxPending bounds the requests outstanding during Drive/Play; 0
-	// means unbounded (see WithMaxPending).
+	// MaxPending bounds the requests outstanding during Drive; 0 means
+	// unbounded (see WithMaxPending).
 	MaxPending int
 }
 
@@ -223,9 +196,9 @@ func (c *driveConfig) setMaxPending(n int) { c.MaxPending = n }
 
 // ---- shared workload loops ----
 //
-// Every wrapper implements Drive, Play, and ClosedLoop through the three
-// functions below, in terms of nothing but Submit and the engine: one
-// replay implementation for all five substrates.
+// Every wrapper implements Drive and ClosedLoop through the functions
+// below, in terms of nothing but Submit and the engine: one replay
+// implementation for all five substrates and the fault injector.
 
 // driveLoop is the arrival pump behind drive and driveBounded. One
 // driveLoop is allocated per Drive call and then pumps the whole stream
@@ -419,20 +392,8 @@ func (s *SSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	return s.Raw.SubmitHost(op, onDone)
 }
 
-// SubmitBatch implements Device through the flash device's batch fast
-// path: one dispatch pump for the whole same-instant run.
-func (s *SSD) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return s.Raw.SubmitBatch(ops, onDone)
-}
-
-// Free implements Device: the FTL drops the mapped pages.
-func (s *SSD) Free(off, size int64) error { return s.Raw.Submit(freeOp(off, size), nil) }
-
 // Drive implements Device.
 func (s *SSD) Drive(st trace.Stream) error { return drive(s, st, s.MaxPending) }
-
-// Play implements Device.
-func (s *SSD) Play(ops []trace.Op) error { return drive(s, trace.FromSlice(ops), s.MaxPending) }
 
 // ClosedLoop implements Device.
 func (s *SSD) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
@@ -474,9 +435,6 @@ func (s *SSD) Metrics() Snapshot { return ssdSnapshot(s.Raw.Metrics()) }
 type HDD struct {
 	Raw *hdd.Disk
 	driveConfig
-	// frees counts completed free notifications; the disk model itself
-	// has no TRIM, so the wrapper keeps the Snapshot field uniform.
-	frees int64
 }
 
 // NewHDD builds a disk on a fresh engine. Prefer Open or Build; this
@@ -489,36 +447,18 @@ func NewHDD(cfg hdd.Config) (*HDD, error) {
 	return &HDD{Raw: d}, nil
 }
 
-// Submit implements Device.
+// Submit implements Device. Disks have no TRIM: a free completes as a
+// metadata no-op (and is counted in Snapshot.Frees).
 func (h *HDD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	var cb func(*hdd.Request)
-	if isFree := op.Kind == trace.Free; isFree || onDone != nil {
-		cb = func(r *hdd.Request) {
-			if isFree {
-				h.frees++
-			}
-			if onDone != nil {
-				onDone(r.Response(), nil)
-			}
-		}
+	if onDone != nil {
+		cb = func(r *hdd.Request) { onDone(r.Response(), nil) }
 	}
 	return h.Raw.Submit(op, cb)
 }
 
-// SubmitBatch implements Device (per-op fallback).
-func (h *HDD) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(h, ops, onDone)
-}
-
-// Free implements Device: disks have no TRIM; the request completes as a
-// metadata no-op (and is counted in Snapshot.Frees).
-func (h *HDD) Free(off, size int64) error { return h.Submit(freeOp(off, size), nil) }
-
 // Drive implements Device.
 func (h *HDD) Drive(st trace.Stream) error { return drive(h, st, h.MaxPending) }
-
-// Play implements Device.
-func (h *HDD) Play(ops []trace.Op) error { return drive(h, trace.FromSlice(ops), h.MaxPending) }
 
 // ClosedLoop implements Device.
 func (h *HDD) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
@@ -541,7 +481,7 @@ func (h *HDD) Metrics() Snapshot {
 		Completed:    m.Completed,
 		BytesRead:    m.BytesRead,
 		BytesWritten: m.BytesWritten,
-		Frees:        h.frees,
+		Frees:        m.Frees,
 		Tenants:      tenantSnapshots(m.Tenants),
 	}
 	s.fillLatency(m.ReadResp, m.WriteResp)

@@ -69,7 +69,7 @@ func TestRAIDAndMEMSWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Play([]trace.Op{{Kind: trace.Write, Offset: 0, Size: 4096}}); err != nil {
+	if err := r.Drive(trace.FromSlice([]trace.Op{{Kind: trace.Write, Offset: 0, Size: 4096}})); err != nil {
 		t.Fatal(err)
 	}
 	if rm := r.Metrics(); rm.Completed != 1 || rm.BytesWritten != 4096 {
@@ -79,7 +79,7 @@ func TestRAIDAndMEMSWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Play([]trace.Op{{Kind: trace.Read, Offset: 0, Size: 4096}}); err != nil {
+	if err := m.Drive(trace.FromSlice([]trace.Op{{Kind: trace.Read, Offset: 0, Size: 4096}})); err != nil {
 		t.Fatal(err)
 	}
 	if mm := m.Metrics(); mm.Completed != 1 || mm.BytesRead != 4096 {

@@ -13,9 +13,6 @@ import (
 type RAID struct {
 	Raw *raid.Array
 	driveConfig
-	// frees counts completed free notifications (the array has no TRIM;
-	// the wrapper keeps the Snapshot field uniform).
-	frees int64
 }
 
 // NewRAID builds an array on a fresh engine. Prefer Open or Build; this
@@ -28,36 +25,18 @@ func NewRAID(cfg raid.Config) (*RAID, error) {
 	return &RAID{Raw: a}, nil
 }
 
-// Submit implements Device.
+// Submit implements Device. The array has no TRIM: a free completes as
+// a metadata no-op (and is counted in Snapshot.Frees).
 func (r *RAID) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	var cb func(*raid.Request)
-	if isFree := op.Kind == trace.Free; isFree || onDone != nil {
-		cb = func(q *raid.Request) {
-			if isFree {
-				r.frees++
-			}
-			if onDone != nil {
-				onDone(q.Response(), nil)
-			}
-		}
+	if onDone != nil {
+		cb = func(q *raid.Request) { onDone(q.Response(), nil) }
 	}
 	return r.Raw.Submit(op, cb)
 }
 
-// SubmitBatch implements Device (per-op fallback).
-func (r *RAID) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(r, ops, onDone)
-}
-
-// Free implements Device: the array has no TRIM; the request completes as
-// a metadata no-op (and is counted in Snapshot.Frees).
-func (r *RAID) Free(off, size int64) error { return r.Submit(freeOp(off, size), nil) }
-
 // Drive implements Device.
 func (r *RAID) Drive(st trace.Stream) error { return drive(r, st, r.MaxPending) }
-
-// Play implements Device.
-func (r *RAID) Play(ops []trace.Op) error { return drive(r, trace.FromSlice(ops), r.MaxPending) }
 
 // ClosedLoop implements Device.
 func (r *RAID) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
@@ -80,7 +59,7 @@ func (r *RAID) Metrics() Snapshot {
 		Completed:    m.Completed,
 		BytesRead:    m.BytesRead,
 		BytesWritten: m.BytesWritten,
-		Frees:        r.frees,
+		Frees:        m.Frees,
 		Tenants:      tenantSnapshots(m.Tenants),
 	}
 	s.fillLatency(m.ReadResp, m.WriteResp)
@@ -92,9 +71,6 @@ func (r *RAID) Metrics() Snapshot {
 type MEMS struct {
 	Raw *mems.Device
 	driveConfig
-	// frees counts completed free notifications (MEMS media writes in
-	// place; the wrapper keeps the Snapshot field uniform).
-	frees int64
 }
 
 // NewMEMS builds a device on a fresh engine. Prefer Open or Build; this
@@ -107,36 +83,18 @@ func NewMEMS(cfg mems.Config) (*MEMS, error) {
 	return &MEMS{Raw: d}, nil
 }
 
-// Submit implements Device.
+// Submit implements Device. MEMS media writes in place: a free
+// completes as a metadata no-op (and is counted in Snapshot.Frees).
 func (m *MEMS) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	var cb func(*mems.Request)
-	if isFree := op.Kind == trace.Free; isFree || onDone != nil {
-		cb = func(q *mems.Request) {
-			if isFree {
-				m.frees++
-			}
-			if onDone != nil {
-				onDone(q.Response(), nil)
-			}
-		}
+	if onDone != nil {
+		cb = func(q *mems.Request) { onDone(q.Response(), nil) }
 	}
 	return m.Raw.Submit(op, cb)
 }
 
-// SubmitBatch implements Device (per-op fallback).
-func (m *MEMS) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(m, ops, onDone)
-}
-
-// Free implements Device: MEMS media writes in place; the request
-// completes as a metadata no-op (and is counted in Snapshot.Frees).
-func (m *MEMS) Free(off, size int64) error { return m.Submit(freeOp(off, size), nil) }
-
 // Drive implements Device.
 func (m *MEMS) Drive(st trace.Stream) error { return drive(m, st, m.MaxPending) }
-
-// Play implements Device.
-func (m *MEMS) Play(ops []trace.Op) error { return drive(m, trace.FromSlice(ops), m.MaxPending) }
 
 // ClosedLoop implements Device.
 func (m *MEMS) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
@@ -159,7 +117,7 @@ func (m *MEMS) Metrics() Snapshot {
 		Completed:    mm.Completed,
 		BytesRead:    mm.BytesRead,
 		BytesWritten: mm.BytesWritten,
-		Frees:        m.frees,
+		Frees:        mm.Frees,
 		Tenants:      tenantSnapshots(mm.Tenants),
 	}
 	s.fillLatency(mm.ReadResp, mm.WriteResp)

@@ -220,7 +220,7 @@ func TestSnapshotReadOnlyWorkloadJSON(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				ops = append(ops, trace.Op{Kind: trace.Read, Offset: int64(i) * 4096, Size: 4096})
 			}
-			if err := d.Play(ops); err != nil {
+			if err := d.Drive(trace.FromSlice(ops)); err != nil {
 				t.Fatal(err)
 			}
 			snap := d.Metrics()

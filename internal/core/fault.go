@@ -76,10 +76,18 @@ func WrapFault(d Device, plan *fault.Plan) Device {
 // mapping metadata, matching the flash path). A dead device fails the
 // op immediately — no media time — while a transient fault services the
 // op, waits out the retry cost, and services it again, so the retry is
-// visible as both latency and extra media traffic.
+// visible as both latency and extra media traffic. An op the device
+// would reject is rejected before it draws on the fault clock, so it
+// neither consumes a sequence number nor touches a counter.
 func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	if op.Kind == trace.Free {
 		return f.inner.Submit(op, onDone)
+	}
+	if err := op.Validate(); err != nil {
+		return err
+	}
+	if op.End() > f.inner.LogicalBytes() {
+		return fmt.Errorf("core: request [%d, +%d) beyond capacity %d", op.Offset, op.Size, f.inner.LogicalBytes())
 	}
 	seq := f.seq
 	f.seq++
@@ -132,22 +140,8 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	})
 }
 
-// SubmitBatch implements Device (per-op fallback, so every op passes
-// through the injector).
-func (f *FaultDevice) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(f, ops, onDone)
-}
-
-// Free implements Device.
-func (f *FaultDevice) Free(off, size int64) error { return f.inner.Free(off, size) }
-
 // Drive implements Device.
 func (f *FaultDevice) Drive(st trace.Stream) error { return drive(f, st, f.MaxPending) }
-
-// Play implements Device.
-func (f *FaultDevice) Play(ops []trace.Op) error {
-	return drive(f, trace.FromSlice(ops), f.MaxPending)
-}
 
 // ClosedLoop implements Device.
 func (f *FaultDevice) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {

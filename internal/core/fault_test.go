@@ -168,6 +168,30 @@ func TestFaultDeviceDeath(t *testing.T) {
 	}
 }
 
+// An invalid op is rejected before the injector sees it: no fault is
+// drawn or counted, and a dead device does not turn it into an error
+// completion.
+func TestFaultDeviceRejectsInvalidOps(t *testing.T) {
+	plan := &fault.Plan{Seed: 1, Deaths: []fault.Death{{Element: 0, AfterOps: 0}}}
+	d, err := Open("hdd", WithFault(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Metrics()
+	for _, op := range []trace.Op{
+		{Kind: trace.Read, Offset: d.LogicalBytes(), Size: 4096},
+		{Kind: trace.Write, Offset: -4096, Size: 4096},
+	} {
+		if err := d.Submit(op, nil); err == nil {
+			t.Fatalf("accepted invalid op %+v", op)
+		}
+	}
+	d.Engine().Run()
+	if after := d.Metrics(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("rejected ops changed the snapshot:\n%+v\n%+v", before, after)
+	}
+}
+
 // Same plan, same workload, same metrics: the injector draws from the
 // keyed hash, never from shared RNG state or wall clock.
 func TestFaultDeviceDeterminism(t *testing.T) {

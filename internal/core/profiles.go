@@ -77,7 +77,7 @@ type Profile struct {
 	// built-in profile sets one).
 	Seed int64
 	// MaxPending bounds the requests outstanding while the device is
-	// driven open loop (Drive/Play): admission control against arrival
+	// driven open loop (Drive): admission control against arrival
 	// storms. 0 means unbounded (see WithMaxPending).
 	MaxPending int
 	// Fault is the device's fault plan (see internal/fault): deterministic

@@ -169,7 +169,7 @@ func WithQueueDepth(depth int) Option {
 }
 
 // WithMaxPending bounds the number of requests outstanding while the
-// device is driven open loop (Drive/Play): once n requests are in
+// device is driven open loop (Drive): once n requests are in
 // flight, further arrivals are paced to completions instead of piling
 // unbounded queue state — backpressure for arrival storms the device
 // cannot absorb. It applies to every media kind; 0 restores the

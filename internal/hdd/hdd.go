@@ -70,8 +70,10 @@ type Metrics struct {
 	Completed               int64
 	ReadResp, WriteResp     stats.Histogram // milliseconds
 	BytesRead, BytesWritten int64
-	CacheHits               int64
-	Seeks                   int64
+	// Frees counts free notifications, each completed as a no-op.
+	Frees     int64
+	CacheHits int64
+	Seeks     int64
 	// Tenants breaks completed host transfers down per tenant class.
 	Tenants stats.TenantSet
 }
@@ -264,6 +266,7 @@ func (d *Disk) Submit(op trace.Op, onDone func(*Request)) error {
 	req := &Request{Op: op, Arrive: d.eng.Now(), onDone: onDone, disk: d}
 	switch op.Kind {
 	case trace.Free:
+		d.met.Frees++
 		d.finish(req)
 	case trace.Read:
 		if d.cacheCovers(op.Offset, op.Size) {
@@ -294,48 +297,6 @@ func (d *Disk) Submit(op trace.Op, onDone func(*Request)) error {
 
 // actuator is the element set of every disk access: the one arm.
 var actuator = []int{0}
-
-// Play replays a timestamped trace to completion.
-func (d *Disk) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		d.eng.At(op.At, func() {
-			if err := d.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	d.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding from gen.
-func (d *Disk) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	// One completion callback for the whole loop, not one per op.
-	reissue := func(*Request) { issue() }
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := d.Submit(op, reissue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	d.eng.Run()
-	return firstErr
-}
 
 // finishEvent is the pooled engine callback completing a request with no
 // further media work (cache hits and cache-absorbed writes).

@@ -1,11 +1,9 @@
 package hdd
 
 import (
-	"math/rand"
 	"testing"
 
 	"ossd/internal/sim"
-	"ossd/internal/stats"
 	"ossd/internal/trace"
 )
 
@@ -80,56 +78,6 @@ func TestSeekCurve(t *testing.T) {
 	}
 }
 
-func TestSequentialReadBandwidth(t *testing.T) {
-	eng, d := newDisk(t, Barracuda7200())
-	const reqSize = 1 << 20
-	const n = 64
-	i := 0
-	err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
-		if i >= n {
-			return trace.Op{}, false
-		}
-		op := trace.Op{Kind: trace.Read, Offset: int64(i) * reqSize, Size: reqSize}
-		i++
-		return op, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := stats.Bandwidth(int64(n)*reqSize, eng.Now().Seconds())
-	// Outer zone: close to the configured max rate.
-	if bw < 70 || bw > 95 {
-		t.Fatalf("sequential read bandwidth = %.1f MB/s, want ~87", bw)
-	}
-}
-
-func TestRandomReadLatency(t *testing.T) {
-	eng, d := newDisk(t, Barracuda7200())
-	rng := rand.New(rand.NewSource(1))
-	const n = 200
-	i := 0
-	err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
-		if i >= n {
-			return trace.Op{}, false
-		}
-		i++
-		off := rng.Int63n(d.LogicalBytes()/4096) * 4096
-		return trace.Op{Kind: trace.Read, Offset: off, Size: 4096}, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := d.Metrics().ReadResp.Mean()
-	// Seek + half rotation + transfer: 10-16 ms for a 7200 RPM drive.
-	if mean < 8 || mean > 20 {
-		t.Fatalf("random 4K read mean = %.2f ms, want 8-20", mean)
-	}
-	bw := stats.Bandwidth(d.Metrics().BytesRead, eng.Now().Seconds())
-	if bw > 1.0 {
-		t.Fatalf("random read bandwidth = %.2f MB/s, implausibly fast", bw)
-	}
-}
-
 func TestWriteCacheAbsorbsBurst(t *testing.T) {
 	eng, d := newDisk(t, Barracuda7200())
 	var r *Request
@@ -140,36 +88,6 @@ func TestWriteCacheAbsorbsBurst(t *testing.T) {
 	}
 	if r.Response() > sim.Millisecond {
 		t.Fatalf("cached write response = %v, want ~cache latency", r.Response())
-	}
-}
-
-func TestRandomWriteFasterThanRandomRead(t *testing.T) {
-	// The CLOOK drain must make sustained random writes faster than
-	// random reads (Table 2: 1.3 vs 0.6 MB/s).
-	measure := func(kind trace.Kind) float64 {
-		eng, d := newDisk(t, Barracuda7200())
-		rng := rand.New(rand.NewSource(7))
-		const n = 3000
-		i := 0
-		if err := d.ClosedLoop(4, func(int) (trace.Op, bool) {
-			if i >= n {
-				return trace.Op{}, false
-			}
-			i++
-			off := rng.Int63n(d.LogicalBytes()/4096) * 4096
-			return trace.Op{Kind: kind, Offset: off, Size: 4096}, true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return stats.Bandwidth(int64(n)*4096, eng.Now().Seconds())
-	}
-	wr := measure(trace.Write)
-	rd := measure(trace.Read)
-	if wr <= rd {
-		t.Fatalf("random write %.2f MB/s not faster than read %.2f MB/s", wr, rd)
-	}
-	if wr > 10*rd {
-		t.Fatalf("random write %.2f MB/s implausibly faster than read %.2f", wr, rd)
 	}
 }
 
@@ -207,6 +125,9 @@ func TestFreeIsNoop(t *testing.T) {
 	if r == nil || r.Response() != 0 {
 		t.Fatal("free not immediate")
 	}
+	if f := d.Metrics().Frees; f != 1 {
+		t.Fatalf("frees = %d, want 1", f)
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -216,20 +137,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := d.Submit(trace.Op{Kind: trace.Read, Offset: d.LogicalBytes(), Size: 4096}, nil); err == nil {
 		t.Error("accepted op beyond capacity")
-	}
-}
-
-func TestPlayDrains(t *testing.T) {
-	_, d := newDisk(t, Barracuda7200())
-	ops := []trace.Op{
-		{At: 0, Kind: trace.Write, Offset: 0, Size: 65536},
-		{At: sim.Millisecond, Kind: trace.Read, Offset: 1 << 30, Size: 65536},
-	}
-	if err := d.Play(ops); err != nil {
-		t.Fatal(err)
-	}
-	if d.Metrics().Completed != 2 {
-		t.Fatalf("completed = %d", d.Metrics().Completed)
 	}
 }
 

@@ -58,7 +58,9 @@ type Metrics struct {
 	Completed               int64
 	ReadResp, WriteResp     stats.Histogram // ms
 	BytesRead, BytesWritten int64
-	Seeks                   int64
+	// Frees counts free notifications, each completed as a no-op.
+	Frees int64
+	Seeks int64
 	// Tenants breaks completed host transfers down per tenant class.
 	Tenants stats.TenantSet
 }
@@ -153,6 +155,7 @@ func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
 	}
 	req := &Request{Op: op, Arrive: d.eng.Now(), onDone: onDone, dev: d}
 	if op.Kind == trace.Free {
+		d.met.Frees++
 		d.finish(req)
 		return nil
 	}
@@ -198,46 +201,4 @@ func (d *Device) finish(req *Request) {
 	if req.onDone != nil {
 		req.onDone(req)
 	}
-}
-
-// Play replays a timestamped trace.
-func (d *Device) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		d.eng.At(op.At, func() {
-			if err := d.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	d.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding from gen.
-func (d *Device) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	// One completion callback for the whole loop, not one per op.
-	reissue := func(*Request) { issue() }
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := d.Submit(op, reissue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	d.eng.Run()
-	return firstErr
 }

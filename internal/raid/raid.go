@@ -45,6 +45,8 @@ type Metrics struct {
 	Completed               int64
 	ReadResp, WriteResp     stats.Histogram // milliseconds
 	BytesRead, BytesWritten int64           // host bytes
+	// Frees counts free notifications, each completed as a no-op.
+	Frees int64
 	// DiskBytesRead/Written count spindle-level traffic, including parity
 	// and read-modify-write; DiskBytesWritten/BytesWritten is the array's
 	// write amplification.
@@ -202,6 +204,7 @@ func (a *Array) Submit(op trace.Op, onDone func(*Request)) error {
 	}
 	req := &Request{Op: op, Arrive: a.eng.Now(), onDone: onDone}
 	if op.Kind == trace.Free {
+		a.met.Frees++
 		a.finish(req)
 		return nil
 	}
@@ -254,46 +257,6 @@ func (a *Array) finish(req *Request) {
 	if req.onDone != nil {
 		req.onDone(req)
 	}
-}
-
-// Play replays a timestamped trace to completion.
-func (a *Array) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		a.eng.At(op.At, func() {
-			if err := a.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	a.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding from gen.
-func (a *Array) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := a.Submit(op, func(*Request) { issue() }); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	a.eng.Run()
-	return firstErr
 }
 
 // WriteAmplification reports spindle write bytes per host write byte.

@@ -169,33 +169,8 @@ func TestFreeIsNoop(t *testing.T) {
 	if r == nil || r.Response() != 0 {
 		t.Fatal("free not immediate")
 	}
-}
-
-func TestPlayAndClosedLoop(t *testing.T) {
-	_, a := newArray(t)
-	if err := a.Play([]trace.Op{
-		{At: 0, Kind: trace.Write, Offset: 0, Size: 8192},
-		{At: sim.Millisecond, Kind: trace.Read, Offset: 0, Size: 8192},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if a.Metrics().Completed != 2 {
-		t.Fatalf("completed = %d", a.Metrics().Completed)
-	}
-	eng2 := sim.NewEngine()
-	a2, _ := New(eng2, testConfig())
-	i := 0
-	if err := a2.ClosedLoop(2, func(int) (trace.Op, bool) {
-		if i >= 10 {
-			return trace.Op{}, false
-		}
-		i++
-		return trace.Op{Kind: trace.Read, Offset: int64(i) * 4096, Size: 4096}, true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if a2.Metrics().Completed != 10 {
-		t.Fatalf("closed loop completed %d", a2.Metrics().Completed)
+	if f := a.Metrics().Frees; f != 1 {
+		t.Fatalf("frees = %d, want 1", f)
 	}
 }
 

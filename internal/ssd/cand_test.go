@@ -58,7 +58,7 @@ func fill(t *testing.T, d *Device, frac float64) {
 	t.Helper()
 	space := int64(float64(d.LogicalBytes())*frac) / (1 << 16) * (1 << 16)
 	var off int64
-	err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	err := closedLoop(d, 1, func(int) (trace.Op, bool) {
 		if off >= space {
 			return trace.Op{}, false
 		}
@@ -167,7 +167,7 @@ func TestCandidateSetInvariant(t *testing.T) {
 			ops := candidateMix(3, 6000, d.LogicalBytes(), tc.free, tc.write, tc.pri)
 			// Wear-out and element death fail requests; those errors are
 			// reported per request, never as submission errors.
-			if err := d.ClosedLoop(4, func(i int) (trace.Op, bool) {
+			if err := closedLoop(d, 4, func(i int) (trace.Op, bool) {
 				if i >= len(ops) {
 					return trace.Op{}, false
 				}

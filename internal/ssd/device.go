@@ -31,9 +31,9 @@ type Request struct {
 	// already-acknowledged buffered write and stay out of host metrics.
 	internal bool
 	onDone   func(*Request)
-	// host is a SubmitHost or SubmitBatch caller's completion callback;
-	// onDone is then hostDone, a package-level adapter, so completing
-	// through host builds no closure per request.
+	// host is a SubmitHost caller's completion callback; onDone is then
+	// hostDone, a package-level adapter, so completing through host
+	// builds no closure per request.
 	host func(resp sim.Time, err error)
 	// dev and remaining carry the completion state through the engine's
 	// pooled events: remaining counts the busy elements (plus the host
@@ -291,7 +291,7 @@ func (d *Device) putReq(r *Request) {
 // The *Request passed to onDone is pooled: it must not be retained after
 // the callback returns.
 func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
-	return d.submit(op, onDone, nil, true)
+	return d.submit(op, onDone, nil)
 }
 
 // SubmitHost is Submit for a caller that needs only the response time and
@@ -299,32 +299,15 @@ func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
 // carried on the pooled request itself, so a shared callback submits
 // without allocating.
 func (d *Device) SubmitHost(op trace.Op, onDone func(resp sim.Time, err error)) error {
-	return d.submit(op, nil, onDone, true)
+	return d.submit(op, nil, onDone)
 }
 
-// hostDone completes a SubmitHost or SubmitBatch request.
+// hostDone completes a SubmitHost request.
 func hostDone(r *Request) { r.host(r.Response(), r.Err) }
 
-// SubmitBatch enqueues a run of operations all arriving now, pumping the
-// dispatch loop once at the end instead of per operation; onDone is as
-// for SubmitHost. Because the batch is same-instant, deferring the pump
-// reaches the identical dispatch fixpoint the per-op pumps would: each
-// pump dispatches the lowest-eligible request and marks elements busy,
-// and no simulated time passes between the enqueues either way. It stops
-// at the first submission error.
-func (d *Device) SubmitBatch(ops []trace.Op, onDone func(resp sim.Time, err error)) error {
-	for _, op := range ops {
-		if err := d.submit(op, nil, onDone, false); err != nil {
-			d.drv.Pump()
-			return err
-		}
-	}
-	d.drv.Pump()
-	return nil
-}
-
-// submit enqueues op with at most one of the two completion callbacks.
-func (d *Device) submit(op trace.Op, onDone func(*Request), host func(sim.Time, error), pump bool) error {
+// submit enqueues op with at most one of the two completion callbacks
+// and pumps the dispatch loop.
+func (d *Device) submit(op trace.Op, onDone func(*Request), host func(sim.Time, error)) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
@@ -362,17 +345,13 @@ func (d *Device) submit(op trace.Op, onDone func(*Request), host func(sim.Time, 
 			// The host sees the buffer-insert latency only.
 			req.Start = req.Arrive
 			d.eng.Call(d.cfg.CtrlOverhead, completeEvent, req)
-			if pump {
-				d.drv.Pump()
-			}
+			d.drv.Pump()
 			return nil
 		}
 		d.met.BufferBypass++
 	}
 	d.enqueue(req)
-	if pump {
-		d.drv.Pump()
-	}
+	d.drv.Pump()
 	return nil
 }
 
@@ -384,53 +363,6 @@ func (d *Device) enqueue(req *Request) {
 		d.outstandingPri++
 	}
 	d.q.PushT(d.elemsFor(req.Op), req, req.Op.Tenant, req.Op.Size)
-}
-
-// Play schedules every operation at its trace timestamp and runs the
-// engine until the device drains. It returns the first submission error.
-func (d *Device) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		d.eng.At(op.At, func() {
-			if err := d.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	d.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding, drawing operations from
-// gen until it returns false. Each op's At field is ignored; arrivals
-// happen on completion. Returns the first submission error.
-func (d *Device) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	// One completion callback for the whole loop: reissuing through a
-	// shared func value keeps the closed loop from allocating a closure
-	// per operation.
-	reissue := func(*Request) { issue() }
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := d.Submit(op, reissue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	d.eng.Run()
-	return firstErr
 }
 
 // ---- internal machinery ----

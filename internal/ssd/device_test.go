@@ -1,7 +1,6 @@
 package ssd
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -60,6 +59,33 @@ func newDevice(t *testing.T, cfg Config) (*sim.Engine, *Device) {
 		t.Fatal(err)
 	}
 	return eng, d
+}
+
+// closedLoop keeps depth requests outstanding on d, drawing operations
+// from gen until it returns false, then runs the engine dry; it returns
+// the first submission error. It is core's closed loop restated over the
+// raw device for the tests that read the model's unexported state
+// (package core imports ssd, so these tests cannot use core's).
+func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
+	var firstErr error
+	i := 0
+	var issue func()
+	reissue := func(*Request) { issue() }
+	issue = func() {
+		op, ok := gen(i)
+		if !ok {
+			return
+		}
+		i++
+		if err := d.Submit(op, reissue); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for k := 0; k < depth; k++ {
+		issue()
+	}
+	d.eng.Run()
+	return firstErr
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -284,7 +310,7 @@ func TestSustainedLoadTriggersDeviceCleaning(t *testing.T) {
 		i++
 		return trace.Op{Kind: trace.Write, Offset: off, Size: 4096}, true
 	}
-	if err := d.ClosedLoop(1, gen); err != nil {
+	if err := closedLoop(d, 1, gen); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -299,23 +325,6 @@ func TestSustainedLoadTriggersDeviceCleaning(t *testing.T) {
 		if err := el.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestPlayRespectsTimestamps(t *testing.T) {
-	eng, d := newDevice(t, testConfig())
-	ops := []trace.Op{
-		{At: 0, Kind: trace.Write, Offset: 0, Size: 4096},
-		{At: 10 * sim.Millisecond, Kind: trace.Write, Offset: 4096, Size: 4096},
-	}
-	if err := d.Play(ops); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Now() < 10*sim.Millisecond {
-		t.Fatalf("engine time %v, want >= 10ms", eng.Now())
-	}
-	if d.Metrics().Completed != 2 {
-		t.Fatal("not all ops completed")
 	}
 }
 
@@ -385,7 +394,7 @@ func TestWearOutSurfacesAsRequestError(t *testing.T) {
 		i++
 		return trace.Op{Kind: trace.Write, Offset: int64(rng.Intn(n)) * 4096, Size: 4096}, true
 	}
-	d.ClosedLoop(1, func(k int) (trace.Op, bool) {
+	closedLoop(d, 1, func(k int) (trace.Op, bool) {
 		op, ok := gen(k)
 		return op, ok
 	})
@@ -393,102 +402,6 @@ func TestWearOutSurfacesAsRequestError(t *testing.T) {
 	if d.Metrics().Errors == 0 {
 		t.Skip("workload did not exhaust 2-cycle budget; acceptable for tiny device")
 	}
-}
-
-// sameFloat requires bit-level equality: equivalent runs feed the
-// histograms in the same order, so even the order-sensitive Welford
-// accumulators must match exactly.
-func sameFloat(t *testing.T, what string, a, b float64) {
-	t.Helper()
-	if math.Float64bits(a) != math.Float64bits(b) {
-		t.Errorf("%s: %v vs %v", what, a, b)
-	}
-}
-
-// compareDevices requires two devices to agree on every metric a report
-// can observe.
-func compareDevices(t *testing.T, x, y *Device) {
-	t.Helper()
-	a, b := x.Metrics(), y.Metrics()
-	if a.Requests != b.Requests || a.Completed != b.Completed {
-		t.Errorf("requests/completed: %d/%d vs %d/%d", a.Requests, a.Completed, b.Requests, b.Completed)
-	}
-	if a.BytesRead != b.BytesRead || a.BytesWritten != b.BytesWritten {
-		t.Errorf("bytes: %d/%d vs %d/%d", a.BytesRead, a.BytesWritten, b.BytesRead, b.BytesWritten)
-	}
-	if a.Frees != b.Frees || a.Errors != b.Errors || a.BackgroundCleans != b.BackgroundCleans {
-		t.Errorf("frees/errors/cleans: %d/%d/%d vs %d/%d/%d",
-			a.Frees, a.Errors, a.BackgroundCleans, b.Frees, b.Errors, b.BackgroundCleans)
-	}
-	for _, h := range []struct {
-		name string
-		a, b interface {
-			N() uint64
-			Mean() float64
-			Min() float64
-			Max() float64
-			Std() float64
-			Percentile(float64) float64
-		}
-	}{
-		{"read", a.ReadResp, b.ReadResp},
-		{"write", a.WriteResp, b.WriteResp},
-		{"bg", a.BgResp, b.BgResp},
-	} {
-		if h.a.N() != h.b.N() {
-			t.Errorf("%s N: %d vs %d", h.name, h.a.N(), h.b.N())
-			continue
-		}
-		sameFloat(t, h.name+" mean", h.a.Mean(), h.b.Mean())
-		sameFloat(t, h.name+" std", h.a.Std(), h.b.Std())
-		sameFloat(t, h.name+" min", h.a.Min(), h.b.Min())
-		sameFloat(t, h.name+" max", h.a.Max(), h.b.Max())
-		sameFloat(t, h.name+" p99", h.a.Percentile(99), h.b.Percentile(99))
-	}
-	if ga, gb := x.GCStats(), y.GCStats(); ga != gb {
-		t.Errorf("gc stats diverge:\n%+v\n%+v", ga, gb)
-	}
-	if na, nb := x.Engine().Now(), y.Engine().Now(); na != nb {
-		t.Errorf("final clock: %v vs %v", na, nb)
-	}
-}
-
-// TestSubmitBatchEquivalence checks the batch fast path reaches the same
-// state as per-op submission: same-instant enqueues followed by one pump
-// dispatch identically to interleaved pumps.
-func TestSubmitBatchEquivalence(t *testing.T) {
-	mkOps := func() []trace.Op {
-		rng := sim.NewRNG(9)
-		ops := make([]trace.Op, 64)
-		for i := range ops {
-			kind := trace.Write
-			if rng.Int63n(3) == 0 {
-				kind = trace.Read
-			}
-			ops[i] = trace.Op{Kind: kind, Offset: rng.Int63n(200) * 4096, Size: 4096}
-		}
-		return ops
-	}
-	one, err := New(sim.NewEngine(), gangConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range mkOps() {
-		if err := one.Submit(op, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	one.eng.Run()
-
-	batch, err := New(sim.NewEngine(), gangConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.SubmitBatch(mkOps(), nil); err != nil {
-		t.Fatal(err)
-	}
-	batch.eng.Run()
-	compareDevices(t, one, batch)
 }
 
 // TestRequestFreelistSteadyState pins the allocation contract: once

@@ -184,7 +184,7 @@ func TestWriteBufferDoesNotChangeSustainedBandwidth(t *testing.T) {
 		n := int(d.LogicalBytes()/4096) * 2
 		rng := sim.NewRNG(3)
 		i := 0
-		d.ClosedLoop(8, func(int) (trace.Op, bool) {
+		closedLoop(d, 8, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}
